@@ -12,7 +12,6 @@ from .errors import DomainError
 from .transform import (
     PAIR_SCHEME,
     KendallSequence,
-    PairScheme,
     Ranking,
     Symbol,
     copeland_inverse,
@@ -27,7 +26,6 @@ from .transform import (
 )
 from .infotheory import (
     AurocResult,
-    ContingencyTable,
     TauValue,
     auroc,
     conditional_mi,
@@ -62,7 +60,6 @@ __all__ = [
     "DomainError",
     "PAIR_SCHEME",
     "KendallSequence",
-    "PairScheme",
     "Ranking",
     "Symbol",
     "copeland_inverse",
@@ -75,7 +72,6 @@ __all__ = [
     "transform_system",
     "weighted_copeland",
     "AurocResult",
-    "ContingencyTable",
     "TauValue",
     "auroc",
     "conditional_mi",

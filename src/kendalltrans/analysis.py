@@ -19,6 +19,7 @@ from scipy.stats import rankdata
 
 from .errors import DomainError
 from .infotheory import (
+    _as_codes,
     conditional_mi,
     interaction_information,
     make_joint,
@@ -29,7 +30,7 @@ from .integrate import merge_transformed
 from .transform import (
     KendallSequence,
     _as_ordinal,
-    expand_categorical,
+    _pair_arrays,
     kendall_transform,
 )
 
@@ -129,17 +130,30 @@ def _try_ordinal(values):
 
 
 def _decision_sequence(values):
-    """Pair-encode a numeric decision; expand then encode a categorical one."""
+    """Pair-encode a numeric decision; code a categorical one by label pair.
+
+    With K categories numbered in first-seen order, the pair (a, b) gets
+    K*cat[b] + cat[a] when the labels differ, K*K when they agree and -1
+    when either is missing.  That is the partition of pairs that joining
+    the K indicator encodings gives, at O(m) for any K; the code order
+    makes two categories count exactly like their single indicator.
+    """
     x = _try_ordinal(values)
     if x is not None:
         if np.unique(x[~np.isnan(x)]).size < 2:
             raise DomainError("decision column is constant")
         return kendall_transform(x)
-    indicators = expand_categorical(np.asarray(values))
-    encoded = [kendall_transform(v) for v in indicators.values()]
-    if len(encoded) == 1:
-        return encoded[0]
-    return make_joint(encoded)
+    cat = _as_codes(np.asarray(values, dtype=object))
+    k = int(cat.max()) + 1
+    if k < 2:
+        raise DomainError(
+            f"need at least 2 categories to carry information, got {k}"
+        )
+    a, b = _pair_arrays(cat.size)
+    ca, cb = cat[a], cat[b]
+    codes = np.where(ca == cb, k * k, k * cb + ca)
+    codes[(ca < 0) | (cb < 0)] = -1
+    return codes
 
 
 def _ranking_from_sequences(
@@ -162,10 +176,9 @@ def rank_features(
     """Rank feature columns by plug-in MI against the decision column.
 
     method "kendall" pair-encodes the columns (a numeric decision is encoded
-    too; a categorical one is broken into category indicators and their
-    encodings joined).  Methods "width" and "freq" discretise numeric
-    columns into `bins` bins instead; a categorical decision is then used
-    as-is.
+    too; a categorical one gets one code per ordered pair of labels).
+    Methods "width" and "freq" discretise numeric columns into `bins` bins
+    instead; a categorical decision is then used as-is.
     """
     if decision not in table:
         raise DomainError(f"decision column {decision!r} not in table")
@@ -176,6 +189,8 @@ def rank_features(
     for name, v in features.items():
         if len(np.asarray(v)) != n:
             raise DomainError(f"column {name!r} has length {len(np.asarray(v))}, expected {n}")
+        if _try_ordinal(v) is None:
+            raise DomainError(f"feature column {name!r} is not numeric")
 
     if method == "kendall":
         dec_seq = _decision_sequence(table[decision])
@@ -258,7 +273,7 @@ def _summarize(estimates: dict[str, np.ndarray]) -> SimResult:
 
 
 def _rng(seed, *stream) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream...)."""
+    """Philox generator keyed by (seed, stream...)."""
     key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     key.extend(int(s) for s in stream)
     return np.random.Generator(np.random.Philox(seed=key))

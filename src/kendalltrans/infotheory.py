@@ -15,7 +15,6 @@ KendallSequence, a float array (NaN = missing), an integer or boolean array
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .errors import DomainError
 from .transform import KendallSequence, Symbol, _as_ordinal
 
 __all__ = [
-    "ContingencyTable",
     "TauValue",
     "AurocResult",
     "entropy",
@@ -48,7 +46,7 @@ __all__ = [
 
 def _seq_array(seq) -> np.ndarray:
     """Coerce to a 1-D array; Python sequences become object arrays so that
-    tuple labels (joint states) survive intact."""
+    hashable labels, tuples included, survive intact."""
     if isinstance(seq, np.ndarray):
         arr = seq
     else:
@@ -61,9 +59,14 @@ def _seq_array(seq) -> np.ndarray:
 
 
 def _as_codes(seq) -> np.ndarray:
-    """Compact integer relabeling of a categorical sequence; -1 is missing."""
+    """Non-negative integer states of a categorical sequence; -1 is missing.
+
+    KendallSequence and integer codes pass through, Kendall codes as int8
+    and negative integers as -1; floats, strings and other labels are
+    numbered.
+    """
     if isinstance(seq, KendallSequence):
-        codes = seq.codes.astype(np.int64)
+        codes = seq.codes.view(np.int8)
         codes[codes == Symbol.MISSING.value] = -1
         return codes
     arr = _seq_array(seq)
@@ -73,17 +76,10 @@ def _as_codes(seq) -> np.ndarray:
         if ok.any():
             _, out[ok] = np.unique(arr[ok], return_inverse=True)
         return out
-    if arr.dtype.kind in "iu":
-        out = np.full(arr.size, -1, dtype=np.int64)
-        ok = arr >= 0
-        if ok.any():
-            _, out[ok] = np.unique(arr[ok], return_inverse=True)
-        return out
-    if arr.dtype.kind == "b":
-        return arr.astype(np.int64)
+    if arr.dtype.kind in "iub":
+        return np.where(arr < 0, -1, arr)
     if arr.dtype.kind in "US":
-        _, inv = np.unique(arr, return_inverse=True)
-        return inv.astype(np.int64)
+        return np.unique(arr, return_inverse=True)[1]
     # object path: hashable labels, None/NaN missing
     out = np.full(arr.size, -1, dtype=np.int64)
     labels: dict = {}
@@ -94,113 +90,47 @@ def _as_codes(seq) -> np.ndarray:
     return out
 
 
-def _as_labels(seq) -> list:
-    """Original per-position labels with None marking missing entries."""
-    if isinstance(seq, KendallSequence):
-        return [
-            None if c == Symbol.MISSING.value else Symbol(int(c))
-            for c in seq.codes
-        ]
-    arr = _seq_array(seq)
-    if arr.dtype.kind == "f":
-        return [None if np.isnan(v) else float(v) for v in arr]
-    if arr.dtype.kind in "iu":
-        return [None if v < 0 else int(v) for v in arr]
-    out = []
-    for v in arr:
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            out.append(None)
-        else:
-            out.append(v)
-    return out
-
-
 def _relabel(codes: np.ndarray) -> np.ndarray:
-    _, inv = np.unique(codes, return_inverse=True)
-    return inv.astype(np.int64)
+    return np.unique(codes, return_inverse=True)[1]
 
 
-def _h(codes: np.ndarray) -> float:
-    """Entropy in nats of compact non-negative codes (0*log 0 := 0)."""
-    counts = np.bincount(codes)
-    counts = counts[counts > 0]
-    p = counts / codes.size
-    return float(-(p * np.log(p)).sum())
+def _radix(code_arrays) -> np.ndarray:
+    """Joint states of aligned non-negative code arrays, ordered
+    lexicographically by their parts.
 
-
-def _radix(*code_arrays: np.ndarray) -> np.ndarray:
-    """Joint state codes of several compact code arrays."""
-    joint = code_arrays[0]
-    for nxt in code_arrays[1:]:
-        joint = joint * (int(nxt.max()) + 1) + nxt
+    A code array or partial joint is renumbered with np.unique only when its
+    alphabet would exceed the number of positions.  Codes therefore stay
+    below that number, so bincount allocates O(n) and int64 never overflows,
+    while small alphabets such as Kendall joints are never sorted.
+    """
+    size = code_arrays[0].size
+    joint, base = None, 1
+    for codes in code_arrays:
+        k = int(codes.max()) + 1
+        if k > size:
+            codes = _relabel(codes)
+            k = int(codes.max()) + 1
+        joint = codes if joint is None else joint.astype(np.int64) * k + codes
+        base *= k
+        if base > size:
+            joint = _relabel(joint)
+            base = int(joint.max()) + 1
     return joint
 
 
-# ---------------------------------------------------------------------------
-# estimators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint state counts over positions where no constituent is missing.
-
-    The auditable form of what every plug-in estimate in this module counts.
-    """
-
-    counts: dict
-    total: int
-
-    @classmethod
-    def from_sequences(cls, *seqs) -> "ContingencyTable":
-        if not seqs:
-            raise DomainError("need at least one sequence")
-        labeled = [_as_labels(s) for s in seqs]
-        lengths = {len(lab) for lab in labeled}
-        if len(lengths) != 1:
-            raise DomainError(f"sequences have unequal lengths {sorted(lengths)}")
-        counter: Counter = Counter(
-            tup for tup in zip(*labeled) if all(v is not None for v in tup)
-        )
-        return cls(counts=dict(counter), total=sum(counter.values()))
-
-    def entropy(self, base: float = math.e) -> float:
-        if self.total == 0:
-            raise DomainError("empty contingency table")
-        p = np.array(list(self.counts.values()), dtype=float) / self.total
-        h = float(-(p * np.log(p)).sum())
-        return h if base == math.e else h / math.log(base)
+def _h(*code_arrays: np.ndarray) -> float:
+    """Joint entropy in nats of aligned non-negative codes (0*log 0 := 0)."""
+    joint = _radix(code_arrays)
+    counts = np.bincount(joint)
+    counts = counts[counts > 0]
+    p = counts / joint.size
+    return float(-(p * np.log(p)).sum())
 
 
-def entropy(seq, base: float = math.e) -> float:
-    """Plug-in entropy of the observed (non-missing) states, nats by default."""
-    codes = _as_codes(seq)
-    obs = codes[codes >= 0]
-    if obs.size == 0:
-        raise DomainError("entropy of an all-missing sequence is undefined")
-    h = _h(_relabel(obs))
-    return h if base == math.e else h / math.log(base)
-
-
-def make_joint(seqs) -> list:
-    """Position-wise tuple states over the product alphabet.
-
-    A missing entry in any constituent makes the joint position missing
-    (None).
-    """
-    seqs = list(seqs)
+def _complete(seqs) -> tuple[list[np.ndarray], np.ndarray]:
+    """Codes of equal-length sequences and their jointly observed positions."""
     if not seqs:
         raise DomainError("need at least one sequence")
-    labeled = [_as_labels(s) for s in seqs]
-    lengths = {len(lab) for lab in labeled}
-    if len(lengths) != 1:
-        raise DomainError(f"sequences have unequal lengths {sorted(lengths)}")
-    return [
-        None if any(v is None for v in tup) else tup
-        for tup in zip(*labeled)
-    ]
-
-
-def _aligned_codes(*seqs) -> list[np.ndarray]:
     codes = [_as_codes(s) for s in seqs]
     sizes = {c.size for c in codes}
     if len(sizes) != 1:
@@ -208,15 +138,57 @@ def _aligned_codes(*seqs) -> list[np.ndarray]:
     keep = codes[0] >= 0
     for c in codes[1:]:
         keep &= c >= 0
+    return codes, keep
+
+
+def _aligned_codes(*seqs) -> list[np.ndarray]:
+    codes, keep = _complete(seqs)
     if not keep.any():
         raise DomainError("no jointly complete positions")
-    return [_relabel(c[keep]) for c in codes]
+    return [c[keep] for c in codes]
+
+
+# ---------------------------------------------------------------------------
+# estimators
+# ---------------------------------------------------------------------------
+
+def entropy(seq, base: float = math.e) -> float:
+    """Plug-in entropy of the observed (non-missing) states, nats by default."""
+    if not (base > 0 and base != 1):
+        raise DomainError(f"log base must be positive and not 1, got {base}")
+    codes = _as_codes(seq)
+    obs = codes[codes >= 0]
+    if obs.size == 0:
+        raise DomainError("entropy of an all-missing sequence is undefined")
+    h = _h(obs)
+    return h if base == math.e else h / math.log(base)
+
+
+def make_joint(seqs) -> np.ndarray:
+    """Position-wise joint states of several sequences as int64 codes.
+
+    The codes order the joint states lexicographically by their parts'
+    codes; a missing entry in any constituent makes the joint position
+    missing (-1).
+    """
+    codes, keep = _complete(list(seqs))
+    out = np.full(keep.size, -1, dtype=np.int64)
+    if keep.any():
+        out[keep] = _radix([c[keep] for c in codes])
+    return out
+
+
+def _mi(cx, cy) -> float:
+    return _h(cx) + _h(cy) - _h(cx, cy)
+
+
+def _cmi(cx, cy, cz) -> float:
+    return _h(cx, cz) + _h(cy, cz) - _h(cx, cy, cz) - _h(cz)
 
 
 def mutual_information(x, y) -> float:
     """Plug-in I(x;y) = H(x) + H(y) - H(x,y) over pairwise-complete positions."""
-    cx, cy = _aligned_codes(x, y)
-    return _h(cx) + _h(cy) - _h(_radix(cx, cy))
+    return _mi(*_aligned_codes(x, y))
 
 
 def conditional_mi(x, y, z) -> float:
@@ -224,13 +196,7 @@ def conditional_mi(x, y, z) -> float:
 
     Estimated over positions where all three sequences are observed.
     """
-    cx, cy, cz = _aligned_codes(x, y, z)
-    return (
-        _h(_radix(cx, cz))
-        + _h(_radix(cy, cz))
-        - _h(_radix(cx, cy, cz))
-        - _h(cz)
-    )
+    return _cmi(*_aligned_codes(x, y, z))
 
 
 def interaction_information(x, y, z) -> float:
@@ -240,14 +206,7 @@ def interaction_information(x, y, z) -> float:
     the quantity symmetric in its three arguments.
     """
     cx, cy, cz = _aligned_codes(x, y, z)
-    mi_xy = _h(cx) + _h(cy) - _h(_radix(cx, cy))
-    cmi = (
-        _h(_radix(cx, cz))
-        + _h(_radix(cy, cz))
-        - _h(_radix(cx, cy, cz))
-        - _h(cz)
-    )
-    return mi_xy - cmi
+    return _mi(cx, cy) - _cmi(cx, cy, cz)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +360,14 @@ def auroc(x, y, positive=None) -> AurocResult:
     keep = ~np.isnan(xv) & (ycodes >= 0)
     xs = xv[keep]
     ys = yarr[keep]
-    classes = sorted(set(_as_labels(ys)))
+    classes = np.unique(ys).tolist()
     if len(classes) != 2:
         raise DomainError(f"need exactly two classes, got {len(classes)}")
     if positive is None:
         positive = classes[-1]
     elif positive not in classes:
         raise DomainError(f"positive label {positive!r} not present")
-    pos_mask = np.array([v == positive for v in _as_labels(ys)])
+    pos_mask = ys == positive
     xpos, xneg = xs[pos_mask], xs[~pos_mask]
     a, b = int(xpos.size), int(xneg.size)
     exceed = int((xpos[:, None] > xneg[None, :]).sum())

@@ -72,12 +72,9 @@ def merge_transformed(
     batch_of = np.searchsorted(offsets, np.arange(total), side="right") - 1
     batch_a, batch_b = batch_of[a_idx], batch_of[b_idx]
     out = np.full(pair_count(total), Symbol.MISSING.value, dtype=np.uint8)
-    for k, seq in enumerate(batches):
-        mask = (batch_a == k) & (batch_b == k)
-        la = a_idx[mask] - offsets[k]
-        lb = b_idx[mask] - offsets[k]
-        local = la * (seq.n - 1) + np.where(lb < la, lb, lb - 1)
-        out[mask] = seq.codes[local]
+    # Within-batch pairs appear in merged row-major order batch by batch and,
+    # inside a batch, in that batch's own row-major order.
+    out[batch_a == batch_b] = np.concatenate([seq.codes for seq in batches])
     return KendallSequence(out, total)
 
 

@@ -56,7 +56,7 @@ def _read_rows(path) -> list[list[str]]:
         raise DomainError(f"{path}: no header row")
     delimiter = "\t" if "\t" in body[0] else ","
     rows = list(csv.reader(body, delimiter=delimiter))
-    if meta is not None:
+    if meta is not None and meta.startswith(META_PREFIX):
         rows.insert(0, [meta])
     return rows
 
@@ -80,6 +80,8 @@ def _parse_meta(path, row) -> int:
 
 def read_table(path) -> dict[str, np.ndarray]:
     """Read an original data table: header row, one row per object.
+
+    A leading ``#`` line other than encoded-file metadata is a comment.
 
     Columns whose non-missing cells all parse as numbers become float
     arrays with NaN for missing; any other column becomes an object array

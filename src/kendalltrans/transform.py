@@ -96,34 +96,6 @@ def pair_index(a: int, b: int, n: int) -> int:
     return a * (n - 1) + (b if b < a else b - 1)
 
 
-@dataclass(frozen=True)
-class PairScheme:
-    """Canonical bijection between 0..m-1 and the ordered index pairs.
-
-    Every feature of one system must be laid out with the same scheme so
-    that positions line up across sequences.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        pair_count(self.n)
-
-    @property
-    def m(self) -> int:
-        return self.n * (self.n - 1)
-
-    def pair_at(self, index: int) -> tuple[int, int]:
-        return pair_at(index, self.n)
-
-    def pair_index(self, a: int, b: int) -> int:
-        return pair_index(a, b, self.n)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (first, second) object indices, read-only."""
-        return _pair_arrays(self.n)
-
-
 def _pack(codes: np.ndarray) -> np.ndarray:
     """Pack 2-bit state codes four to a byte."""
     pad = (-codes.size) % 4
@@ -162,6 +134,10 @@ class KendallSequence:
             raise DomainError(
                 f"expected {m} states for n={n}, got shape {arr.shape}"
             )
+        if arr.dtype.kind not in "biu":
+            arr = arr.astype(float)
+            if not np.array_equal(arr, np.trunc(arr)):
+                raise DomainError("state codes must be integers")
         if arr.size and (arr.min() < 0 or arr.max() > 3):
             raise DomainError("state codes must lie in 0..3")
         self._n = n
@@ -235,7 +211,8 @@ def kendall_transform(values, tie_epsilon: float = 0.0) -> KendallSequence:
     if tie_epsilon < 0:
         raise DomainError(f"tie tolerance must be non-negative, got {tie_epsilon}")
     a, b = _pair_arrays(n)
-    gap = x[b] - x[a]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: neither side, so TIE
+        gap = x[b] - x[a]
     codes = np.full(n * (n - 1), Symbol.TIE.value, dtype=np.uint8)
     codes[gap > tie_epsilon] = Symbol.ASC.value
     codes[gap < -tie_epsilon] = Symbol.DESC.value
@@ -315,7 +292,9 @@ def jitter_ties(values, seed, scale: float) -> np.ndarray:
         candidate[mask] += rng.uniform(-scale / 2, scale / 2, int(mask.sum()))
         if np.unique(candidate[finite]).size == int(finite.sum()):
             return candidate
-    raise RuntimeError("jitter failed to separate ties after 100 redraws")
+    raise DomainError(
+        f"jitter scale {scale} failed to separate ties after 100 redraws"
+    )
 
 
 @dataclass(frozen=True, eq=False)

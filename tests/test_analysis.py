@@ -10,8 +10,13 @@ from kendalltrans import (
     FeatureRanking,
     bin_equal_frequency,
     bin_equal_width,
+    entropy,
+    expand_categorical,
     jaccard_max,
+    kendall_transform,
     make_correlated_table,
+    make_joint,
+    mutual_information,
     rank_features,
     simulate_bivariate,
     simulate_integration,
@@ -128,6 +133,15 @@ class TestRankFeatures:
         got = rank_features(table_cat, "y")
         want = rank_features(table_num, "y")
         assert got.entries == want.entries
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 40))
+            f = rng.integers(0, 6, n).astype(float)
+            f[rng.random(n) < 0.1] = np.nan
+            labels = np.array(["hi" if v > 0 else "lo" for v in rng.normal(size=n)], dtype=object)
+            first_seen = (labels == labels[0]).astype(float)
+            got = rank_features({"f": f, "y": labels}, "y")
+            assert got.entries == rank_features({"f": f, "y": first_seen}, "y").entries
 
     def test_multiclass_categorical_decision(self):
         rng = np.random.default_rng(6)
@@ -138,6 +152,27 @@ class TestRankFeatures:
         )
         ranking = rank_features({"f": x, "noise": rng.normal(size=30), "y": labels}, "y")
         assert ranking.names[0] == "f"
+
+    def test_multiclass_decision_matches_indicator_joint(self):
+        rng = np.random.default_rng(11)
+        for k in (3, 4, 7):
+            for _ in range(5):
+                x = rng.integers(0, 6, 24).astype(float)
+                labels = np.array([f"c{v}" for v in rng.integers(0, k, 24)], dtype=object)
+                labels[rng.random(24) < 0.1] = None
+                indicators = expand_categorical(labels).values()
+                joint = make_joint([kendall_transform(v) for v in indicators])
+                want = mutual_information(kendall_transform(x), joint)
+                got = rank_features({"f": x, "y": labels}, "y").scores["f"]
+                assert abs(got - want) <= 2e-15
+
+    def test_one_label_per_object(self):
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 10, 200).astype(float)
+        labels = np.array([f"id{i}" for i in range(200)], dtype=object)
+        score = rank_features({"f": x, "y": labels}, "y").scores["f"]
+        # the decision tells every pair apart, so it carries all of H(f)
+        assert abs(score - entropy(kendall_transform(x))) < 1e-12
 
     def test_binned_method_tags_and_difference(self):
         rng = np.random.default_rng(7)
@@ -166,6 +201,10 @@ class TestRankFeatures:
             rank_features({"f": y[:5], "y": y}, "y")
         with pytest.raises(DomainError):
             rank_features({"f": y, "y": y}, "y", method="magic")
+        words = np.array(["a", "b", "c", "d", "e", "f"], dtype=object)
+        for method in ("kendall", "width"):
+            with pytest.raises(DomainError, match="'w'"):
+                rank_features({"w": words, "y": y}, "y", method=method)
 
     def test_degenerate_decision_rejected_in_binned_methods(self):
         y = np.arange(6.0)

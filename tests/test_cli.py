@@ -74,6 +74,13 @@ class TestTransformCommand:
         assert "T" not in body
         assert main(["transform", "--jitter", "nope", str(src), str(out1)]) == 1
 
+    def test_jitter_below_resolution_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "tied.csv"
+        write_csv(src, ["x"], [[1e10], [1e10], [2.0]])
+        out = tmp_path / "enc.csv"
+        assert main(["transform", "--jitter", "1:1e-300", str(src), str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unreadable_and_ragged_inputs_fail(self, tmp_path, capsys):
         out = tmp_path / "enc.csv"
         assert main(["transform", str(tmp_path / "absent.csv"), str(out)]) == 1
@@ -190,6 +197,13 @@ class TestScoreCommand:
         assert main(["score", str(numeric_csv), "--decision", "zzz"]) == 1
         assert "zzz" in capsys.readouterr().err
 
+    def test_non_numeric_feature_fails_naming_column(self, tmp_path, capsys):
+        src = tmp_path / "t.csv"
+        write_csv(src, ["word", "y"], [["x", 1.0], ["w", 2.0], ["v", 3.0]])
+        assert main(["score", str(src), "--decision", "y"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'word'" in err
+
 
 class TestMergeCommand:
     def test_two_tiny_batches(self, tmp_path):
@@ -265,6 +279,13 @@ class TestFileFormats:
         table = tableio.read_table(src)
         assert list(table) == ["a", "b"]
         np.testing.assert_array_equal(table["a"], [1.0, 3.0])
+
+    def test_leading_comment_line_is_not_the_header(self, tmp_path):
+        src = tmp_path / "commented.csv"
+        src.write_text("# units\na,b\n1,2\n", encoding="utf-8")
+        table = tableio.read_table(src)
+        assert list(table) == ["a", "b"]
+        np.testing.assert_array_equal(table["b"], [2.0])
 
     def test_transformed_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -2,13 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from kendalltrans import (
-    ContingencyTable,
     DomainError,
     Symbol,
     auroc,
@@ -94,47 +94,68 @@ class TestEntropy:
         x = [1.0, 2.0, 3.0]
         assert abs(entropy(kendall_transform(x), base=2) - 1.0) < 1e-15
 
+    def test_invalid_base_rejected(self):
+        kx = kendall_transform([1.0, 2.0, 3.0])
+        for bad in (1, 1.0, 0.0, -2.0, float("nan")):
+            with pytest.raises(DomainError):
+                entropy(kx, base=bad)
+
     def test_all_missing_rejected(self):
         with pytest.raises(DomainError):
             entropy(np.array([np.nan, np.nan]))
 
 
-class TestContingencyTable:
-    def test_counts_match_counter(self):
-        kx = kendall_transform([1, 2, 2, 4])
-        ky = kendall_transform([1.0, np.nan, 3.0, 0.5])
-        table = ContingencyTable.from_sequences(kx, ky)
-        want = Counter(
-            (a, b)
-            for a, b in zip(labels_of(kx), labels_of(ky))
-            if a is not None and b is not None
-        )
-        assert table.counts == dict(want)
-        assert table.total == sum(want.values())
-
-    def test_entropy_agrees_with_estimator(self):
-        kx = kendall_transform([3, 1, 4, 1, 5])
-        assert abs(ContingencyTable.from_sequences(kx).entropy() - entropy(kx)) < 1e-15
+def assert_joint_matches_tuples(joint, label_lists):
+    """Joint codes against a tuple oracle: same partition, missing -> -1,
+    and codes ordered like the tuples they stand for."""
+    tuples = list(zip(*label_lists))
+    observed = [None not in t for t in tuples]
+    assert (joint >= 0).tolist() == observed
+    code_of = {}
+    for code, tup, ok in zip(joint.tolist(), tuples, observed):
+        if ok:
+            assert code_of.setdefault(tup, code) == code
+    codes = list(code_of.values())
+    assert len(set(codes)) == len(codes)
+    assert sorted(code_of, key=code_of.get) == sorted(code_of)
 
 
 class TestMakeJoint:
     def test_pairs_of_states(self):
-        out = make_joint([[A, D], [A, A]])
-        assert out == [(A, A), (D, A)]
+        kx = kendall_transform([1, 2, 2, 4])
+        ky = kendall_transform([1.0, np.nan, 3.0, 0.5])
+        joint = make_joint([kx, ky])
+        assert joint.dtype == np.int64
+        assert_joint_matches_tuples(joint, [labels_of(kx), labels_of(ky)])
 
     def test_single_input_identity_alphabet(self):
-        out = make_joint([[A, D, T]])
-        assert out == [(A,), (D,), (T,)]
+        kx = kendall_transform([3, 1, 4, 1, 5])
+        joint = make_joint([kx])
+        np.testing.assert_array_equal(joint, kx.codes)
+        assert entropy(joint) == entropy(kx)
 
     def test_missing_propagates(self):
         kx = kendall_transform([1.0, np.nan, 2.0])
         out = make_joint([kx, kendall_transform([1.0, 2.0, 3.0])])
-        assert out[0] is None  # pair (0,1) touches the NaN object
-        assert out[1] == (A, A)
+        # pairs (0,1) (0,2) (1,0) (1,2) (2,0) (2,1): all but (0,2), (2,0) touch the NaN
+        assert (out == -1).tolist() == [True, False, True, True, False, True]
+        assert out[1] < out[4]  # (A, A) before (D, D)
 
     def test_ragged_rejected(self):
         with pytest.raises(DomainError):
             make_joint([[A, D], [A, D, T]])
+
+    def test_fifty_sequences_stay_below_position_count(self):
+        rng = np.random.default_rng(16)
+        n = 12
+        seqs = []
+        for _ in range(50):
+            x = rng.integers(0, 4, n).astype(float)
+            x[rng.random(n) < 0.05] = np.nan
+            seqs.append(kendall_transform(x))
+        joint = make_joint(seqs)  # 3**50 radix states would overflow int64
+        assert joint.max() < joint.size
+        assert_joint_matches_tuples(joint, [labels_of(k) for k in seqs])
 
 
 class TestMutualInformation:
@@ -174,6 +195,18 @@ class TestMutualInformation:
             lx = [None if np.isnan(v) else v for v in x]
             ly = [None if np.isnan(v) else v for v in y]
             assert abs(mutual_information(x, y) - oracle_mi(lx, ly)) < 1e-12
+
+    def test_distinct_values_stay_linear_in_memory(self):
+        rng = np.random.default_rng(17)
+        x, y = rng.random(3000), rng.random(3000)
+        tracemalloc.start()
+        try:
+            mi = mutual_information(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(mi - math.log(3000)) < 1e-12
+        assert peak < 1_000_000  # a 3000 x 3000 product alphabet needs 72 MB
 
     def test_no_complete_positions_rejected(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Tests for the pair scheme, the encoding, tie utilities and the inverse."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.stats import rankdata
 from kendalltrans import (
     DomainError,
     KendallSequence,
-    PairScheme,
     Symbol,
     copeland_inverse,
     expand_categorical,
@@ -21,6 +21,7 @@ from kendalltrans import (
     transform_system,
     weighted_copeland,
 )
+from kendalltrans.transform import _pair_arrays
 
 A, D, T, M = Symbol.ASC, Symbol.DESC, Symbol.TIE, Symbol.MISSING
 
@@ -91,17 +92,12 @@ class TestPairScheme:
         with pytest.raises(DomainError):
             pair_index(0, 3, 3)
 
-    def test_scheme_object(self):
-        scheme = PairScheme(4)
-        assert scheme.m == 12
-        assert scheme.pair_at(0) == (0, 1)
-        assert scheme.pair_index(2, 1) == pair_index(2, 1, 4)
-        a_idx, b_idx = scheme.arrays()
-        assert [(a_idx[k], b_idx[k]) for k in range(12)] == [
-            pair_at(k, 4) for k in range(12)
-        ]
-        with pytest.raises(DomainError):
-            PairScheme(1)
+    def test_pair_arrays_match_pair_at(self):
+        for n in range(2, 33):
+            a_idx, b_idx = _pair_arrays(n)
+            assert list(zip(a_idx.tolist(), b_idx.tolist())) == [
+                pair_at(k, n) for k in range(pair_count(n))
+            ]
 
 
 class TestKendallTransform:
@@ -163,6 +159,15 @@ class TestKendallTransform:
     def test_too_short(self):
         with pytest.raises(DomainError):
             kendall_transform([1.0])
+
+    def test_infinities_tie_without_warning(self):
+        x = [np.inf, -np.inf, np.inf, 1.0, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = kendall_transform(x)
+            tolerant = kendall_transform(x, tie_epsilon=0.5)
+        assert symbols(exact) == brute_transform(x)
+        assert symbols(tolerant) == brute_transform(x)
 
     def test_tie_tolerance_flag(self):
         x = [1.0, 1.05, 2.0]
@@ -350,5 +355,8 @@ class TestKendallSequenceContainer:
             KendallSequence([0, 1, 2], 3)  # wrong length
         with pytest.raises(DomainError):
             KendallSequence([0, 1, 2, 3, 4, 0], 3)  # code out of range
+        for fractional in ([0.5, 1.9], [0.0, np.nan]):
+            with pytest.raises(DomainError):
+                KendallSequence(fractional, 2)
         with pytest.raises(IndexError):
             kendall_transform([1, 2])[2]
