@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .errors import DomainError
 from .infotheory import (
@@ -30,6 +28,7 @@ from .integrate import merge_transformed
 from .transform import (
     KendallSequence,
     _as_ordinal,
+    _average_ranks,
     _pair_arrays,
     kendall_transform,
 )
@@ -240,7 +239,7 @@ def spearman_rho(x, y) -> float:
         raise DomainError("need at least 2 complete observations")
     if np.unique(xs).size < 2 or np.unique(ys).size < 2:
         raise DomainError("rank correlation of a constant vector is undefined")
-    rx, ry = rankdata(xs), rankdata(ys)
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -281,6 +280,8 @@ def _rng(seed, *stream) -> np.random.Generator:
 
 def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     # inverse-CDF sampling keeps the draw count fixed per replicate
+    from scipy.special import ndtri  # imported here to keep the package import light
+
     u = rng.random(shape)
     return ndtri(np.maximum(u, 1e-300))
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
 from .transform import KendallSequence, Symbol, _as_ordinal
@@ -227,10 +226,11 @@ def _count_pairs_brute(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
     """Direct O(n^2) ordered-pair counter."""
     if xs.size < 2:
         return 0, 0
-    dx = np.sign(xs[:, None] - xs[None, :])
-    dy = np.sign(ys[:, None] - ys[None, :])
-    prod = dx * dy
-    return int((prod > 0).sum()), int((prod < 0).sum())
+    gx, lx = xs[:, None] > xs[None, :], xs[:, None] < xs[None, :]
+    gy, ly = ys[:, None] > ys[None, :], ys[:, None] < ys[None, :]
+    concordant = np.count_nonzero(gx & gy) + np.count_nonzero(lx & ly)
+    discordant = np.count_nonzero(gx & ly) + np.count_nonzero(lx & gy)
+    return int(concordant), int(discordant)
 
 
 def _inversions(a: np.ndarray) -> int:
@@ -310,6 +310,11 @@ def kendall_tau(x, y, method: str = "mergesort") -> TauValue:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _xlogx(v: float) -> float:
+    """v*log(v) with the limit 0 at v = 0."""
+    return v * math.log(v) if v > 0 else 0.0
+
+
 def mi_from_tau(tau: float) -> float:
     """MI in nats of two pair-encoded tie-free variables with correlation tau.
 
@@ -320,7 +325,7 @@ def mi_from_tau(tau: float) -> float:
     t = float(tau)
     if not -1.0 <= t <= 1.0:
         raise DomainError(f"tau must lie in [-1, 1], got {tau}")
-    return 0.5 * float(xlogy(1.0 + t, 1.0 + t) + xlogy(1.0 - t, 1.0 - t))
+    return 0.5 * (_xlogx(1.0 + t) + _xlogx(1.0 - t))
 
 
 def mi_from_rho(rho: float) -> float:
@@ -370,7 +375,7 @@ def auroc(x, y, positive=None) -> AurocResult:
     pos_mask = ys == positive
     xpos, xneg = xs[pos_mask], xs[~pos_mask]
     a, b = int(xpos.size), int(xneg.size)
-    exceed = int((xpos[:, None] > xneg[None, :]).sum())
+    exceed = int(np.searchsorted(np.sort(xneg), xpos, side="left").sum())
     return AurocResult(
         auc=exceed / (a * b),
         positives=a,
@@ -394,5 +399,5 @@ def mi_from_auroc(auc: float, positives: int, negatives: int) -> float:
     if not 0.0 <= av <= 1.0:
         raise DomainError(f"auc must lie in [0, 1], got {auc}")
     n = a + b
-    term = math.log(2.0) + float(xlogy(av, av) + xlogy(1.0 - av, 1.0 - av))
+    term = math.log(2.0) + (_xlogx(av) + _xlogx(1.0 - av))
     return (2.0 * a * b / (n * (n - 1))) * term

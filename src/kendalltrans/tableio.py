@@ -224,6 +224,12 @@ def read_weights(path) -> tuple[dict[str, np.ndarray], int]:
                 raise DomainError(
                     f"{path}: row {i + 3}, column {header[j]!r}: not a number: {cell!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(
+            f"{path}: row {i + 3}, column {header[j]!r}: weight is not finite: {data[i][j]!r}"
+        )
     out: dict[str, np.ndarray] = {}
     for feature, cols in groups.items():
         missing = {"asc", "desc", "tie"} - set(cols)

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError
 
@@ -315,9 +314,24 @@ class Ranking:
         return len(self.ranks)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of a NaN-free vector, ascending; equal values share their mean rank.
+
+    Each run of equal sorted values at positions start..end-1 gets
+    (start + end + 1) / 2, an exact half-integer.
+    """
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def _ranking_from_scores(score: np.ndarray) -> Ranking:
-    ranks = rankdata(-np.asarray(score, dtype=float), method="average")
-    return Ranking(ranks=ranks, score=score)
+    return Ranking(ranks=_average_ranks(-np.asarray(score, dtype=float)), score=score)
 
 
 def copeland_inverse(seq: KendallSequence) -> Ranking:
@@ -340,7 +354,7 @@ def copeland_inverse(seq: KendallSequence) -> Ranking:
 def weighted_copeland(votes, n: int) -> Ranking:
     """Copeland ranking from per-pair state weights.
 
-    `votes` has shape (m, 3) with columns (ASC, DESC, TIE) holding
+    `votes` has shape (m, 3) with columns (ASC, DESC, TIE) holding finite
     non-negative weights for each ordered pair in scheme order; an all-zero
     row marks an unobserved pair.  score(i) sums w_ASC - w_DESC over the
     pairs (i, .).  One-hot rows reproduce :func:`copeland_inverse`.
@@ -349,7 +363,10 @@ def weighted_copeland(votes, n: int) -> Ranking:
     w = np.asarray(votes, dtype=float)
     if w.shape != (m, 3):
         raise DomainError(f"votes must have shape ({m}, 3) for n={n}, got {w.shape}")
-    if np.isnan(w).any() or (w < 0).any():
-        raise DomainError("vote weights must be non-negative")
-    net = (w[:, 0] - w[:, 1]).reshape(n, n - 1)
-    return _ranking_from_scores(net.sum(axis=1))
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise DomainError("vote weights must be finite and non-negative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = (w[:, 0] - w[:, 1]).reshape(n, n - 1).sum(axis=1)
+    if not np.isfinite(score).all():
+        raise DomainError("vote weight sums overflow float64")
+    return _ranking_from_scores(score)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from kendalltrans import kendall_transform
+from kendalltrans import DomainError, kendall_transform
 from kendalltrans.cli import main
 from kendalltrans import tableio
 
@@ -156,6 +156,19 @@ class TestInverseCommand:
         got = tableio.read_table(ranks)["x"]
         np.testing.assert_array_equal(got, rankdata(x))
 
+    def test_weighted_non_finite_rejected(self, tmp_path, capsys):
+        wfile = tmp_path / "weights.csv"
+        wfile.write_text(
+            "#kendall n=2 scheme=rowmajor-v1\nx:asc,x:desc,x:tie\n1,0,0\ninf,inf,0\n",
+            encoding="utf-8",
+        )
+        ranks = tmp_path / "ranks.csv"
+        assert main(["inverse", "--weighted", str(wfile), str(ranks)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "row 4, column 'x:asc'" in captured.err
+        assert not ranks.exists()
+
 
 class TestScoreCommand:
     def test_self_decision_scores_log2(self, tmp_path, capsys):
@@ -286,6 +299,19 @@ class TestFileFormats:
         table = tableio.read_table(src)
         assert list(table) == ["a", "b"]
         np.testing.assert_array_equal(table["b"], [2.0])
+
+    def test_weights_reject_first_non_finite_cell(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text(
+            "#kendall n=2 scheme=rowmajor-v1\nx:asc,x:desc,x:tie\n1,0,nan\n0,-inf,1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DomainError) as info:
+            tableio.read_weights(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "row 3, column 'x:tie'" in message
+        assert "'nan'" in message
 
     def test_transformed_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)

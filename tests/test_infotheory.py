@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from kendalltrans import (
     DomainError,
@@ -360,6 +361,15 @@ class TestMiFromTau:
             mi = mutual_information(kendall_transform(x), kendall_transform(y))
             assert abs(mi - mi_from_tau(kendall_tau(x, y).tau)) < 1e-12
 
+    def test_bit_identical_to_xlogy_form(self):
+        rng = np.random.default_rng(41)
+        grid = np.concatenate(
+            [rng.uniform(-1.0, 1.0, 5000), [0.0, 1.0, -1.0, 1 - 1e-16, -(1 - 1e-16)]]
+        )
+        for t in grid.tolist():
+            want = 0.5 * float(xlogy(1.0 + t, 1.0 + t) + xlogy(1.0 - t, 1.0 - t))
+            assert mi_from_tau(t) == want
+
     def test_domain(self):
         with pytest.raises(DomainError):
             mi_from_tau(1.0001)
@@ -424,6 +434,19 @@ class TestAuroc:
             )
             assert result.u_stat == brute
 
+    def test_memory_stays_linear(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=6000)
+        y = np.repeat([0, 1], 3000)
+        tracemalloc.start()
+        try:
+            result = auroc(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.positives == result.negatives == 3000
+        assert peak < 1_000_000  # a 3000 x 3000 comparison matrix needs 9 MB
+
 
 class TestMiFromAuroc:
     def test_uninformative_point(self):
@@ -448,6 +471,15 @@ class TestMiFromAuroc:
 
     def test_endpoint_limit(self):
         assert abs(mi_from_auroc(1.0, 2, 2) - (2 / 3) * LOG2) < 1e-15
+
+    def test_bit_identical_to_xlogy_form(self):
+        rng = np.random.default_rng(43)
+        grid = np.concatenate([rng.uniform(0.0, 1.0, 5000), [0.0, 1.0, 1 - 1e-16]])
+        for av in grid.tolist():
+            a, b = (int(k) for k in rng.integers(1, 60, 2))
+            n = a + b
+            term = math.log(2.0) + float(xlogy(av, av) + xlogy(1.0 - av, 1.0 - av))
+            assert mi_from_auroc(av, a, b) == (2.0 * a * b / (n * (n - 1))) * term
 
     def test_empty_class_rejected(self):
         with pytest.raises(DomainError):

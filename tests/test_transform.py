@@ -21,7 +21,7 @@ from kendalltrans import (
     transform_system,
     weighted_copeland,
 )
-from kendalltrans.transform import _pair_arrays
+from kendalltrans.transform import _average_ranks, _pair_arrays
 
 A, D, T, M = Symbol.ASC, Symbol.DESC, Symbol.TIE, Symbol.MISSING
 
@@ -299,6 +299,23 @@ class TestCopelandInverse:
                         assert ranking.ranks[i] == ranking.ranks[j]
 
 
+class TestAverageRanks:
+    def test_matches_rankdata(self):
+        rng = np.random.default_rng(29)
+        cases = [
+            np.array([5.0]),
+            np.full(7, 2.5),
+            np.array([0.0, -0.0, 0.0, -1.0, -0.0]),
+            np.array([np.inf, -np.inf, 1.0, np.inf, -np.inf, -3.0]),
+            -np.arange(9.0),
+        ]
+        cases += [rng.integers(-4, 5, int(rng.integers(1, 40))).astype(float) for _ in range(300)]
+        for v in cases:
+            got = _average_ranks(v)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, rankdata(v, method="average"))
+
+
 class TestWeightedCopeland:
     def test_one_hot_degenerates_to_inverse(self):
         rng = np.random.default_rng(17)
@@ -333,6 +350,19 @@ class TestWeightedCopeland:
             weighted_copeland(votes, 3)
         with pytest.raises(DomainError):
             weighted_copeland(np.zeros((5, 3)), 3)
+
+    def test_non_finite_weights_rejected(self):
+        for bad in (np.inf, np.nan):
+            votes = np.zeros((6, 3))
+            votes[2] = [bad, bad, 0.0]
+            with pytest.raises(DomainError, match="finite"):
+                weighted_copeland(votes, 3)
+        # finite weights whose per-object sums overflow to inf - inf
+        votes = np.zeros((20, 3))
+        votes[:2, 0] = 1e308
+        votes[2:4, 1] = 1e308
+        with pytest.raises(DomainError, match="overflow"):
+            weighted_copeland(votes, 5)
 
 
 class TestKendallSequenceContainer:
