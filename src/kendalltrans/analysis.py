@@ -29,7 +29,7 @@ from .transform import (
     KendallSequence,
     _as_ordinal,
     _average_ranks,
-    _pair_arrays,
+    _off_diagonal,
     kendall_transform,
 )
 
@@ -148,11 +148,12 @@ def _decision_sequence(values):
         raise DomainError(
             f"need at least 2 categories to carry information, got {k}"
         )
-    a, b = _pair_arrays(cat.size)
-    ca, cb = cat[a], cat[b]
+    ca, cb = cat[:, None], cat[None, :]
     codes = np.where(ca == cb, k * k, k * cb + ca)
-    codes[(ca < 0) | (cb < 0)] = -1
-    return codes
+    miss = cat < 0
+    codes[miss] = -1
+    codes[:, miss] = -1
+    return _off_diagonal(codes).reshape(-1)
 
 
 def _ranking_from_sequences(

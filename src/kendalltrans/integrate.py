@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .transform import KendallSequence, Symbol, _pair_arrays, pair_count
+from .transform import KendallSequence, Symbol
 
 __all__ = ["BatchMap", "merge_transformed", "complete_fraction"]
 
@@ -42,40 +42,27 @@ class BatchMap:
         return sum(self.sizes)
 
 
-def merge_transformed(
-    batches: Sequence[KendallSequence],
-    batch_map: BatchMap | None = None,
-) -> KendallSequence:
+def merge_transformed(batches: Sequence[KendallSequence]) -> KendallSequence:
     """Fuse independently encoded batches of one feature.
 
     Batch order defines object order in the merged space.  Within-batch
-    pairs copy the batch state at the offset-shifted position; cross-batch
-    pairs are MISSING.
+    pairs keep the batch state; cross-batch pairs are MISSING.
     """
     batches = list(batches)
-    if batch_map is None:
-        batch_map = BatchMap.from_sizes([k.n for k in batches])
-    if len(batch_map.sizes) != len(batches):
-        raise DomainError(
-            f"batch map covers {len(batch_map.sizes)} batches, got {len(batches)}"
-        )
-    for k, (seq, size) in enumerate(zip(batches, batch_map.sizes)):
-        if seq.n != size:
-            raise DomainError(
-                f"batch {k} has n={seq.n}, but the batch map expects {size}"
-            )
-    total = batch_map.total
+    if not batches:
+        raise DomainError("need at least one batch")
     if len(batches) == 1:
         return batches[0]
-    a_idx, b_idx = _pair_arrays(total)
-    offsets = np.asarray(batch_map.offsets)
-    batch_of = np.searchsorted(offsets, np.arange(total), side="right") - 1
-    batch_a, batch_b = batch_of[a_idx], batch_of[b_idx]
-    out = np.full(pair_count(total), Symbol.MISSING.value, dtype=np.uint8)
-    # Within-batch pairs appear in merged row-major order batch by batch and,
-    # inside a batch, in that batch's own row-major order.
-    out[batch_a == batch_b] = np.concatenate([seq.codes for seq in batches])
-    return KendallSequence(out, total)
+    total = sum(seq.n for seq in batches)
+    out = np.full((total, total - 1), Symbol.MISSING.value, dtype=np.uint8)
+    o = 0
+    for seq in batches:
+        # Row o + a holds its within-batch pairs, in the batch's own order,
+        # at the contiguous columns o .. o + n - 2.
+        n = seq.n
+        out[o : o + n, o : o + n - 1] = seq.codes.reshape(n, n - 1)
+        o += n
+    return KendallSequence(out.reshape(-1), total)
 
 
 def complete_fraction(seq: KendallSequence) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +23,10 @@ from .errors import DomainError
 
 #: Identifier of the pair ordering used by every sequence in this package.
 PAIR_SCHEME = "rowmajor-v1"
+
+#: Rows of the n x n state array compared at once by kendall_transform, so
+#: its float gap buffer stays at _ROW_BLOCK x n instead of n x n.
+_ROW_BLOCK = 256
 
 
 class Symbol(enum.IntEnum):
@@ -52,15 +55,15 @@ def _as_ordinal(values) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=8)
-def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second object index for every pair, in scheme order."""
-    a = np.repeat(np.arange(n), n - 1)
-    b = np.tile(np.arange(n - 1), n)
-    b = b + (b >= a)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+def _off_diagonal(sq: np.ndarray) -> np.ndarray:
+    """View of the off-diagonal of a square array, shape (n-1, n), in scheme order.
+
+    Past the first entry, a row-major n x n array falls into rows of n + 1
+    that each end on a diagonal entry; dropping that last column leaves the
+    pairs row-major with the diagonal skipped.
+    """
+    n = sq.shape[0]
+    return sq.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
 
 
 def pair_count(n: int) -> int:
@@ -140,7 +143,7 @@ class KendallSequence:
         if arr.size and (arr.min() < 0 or arr.max() > 3):
             raise DomainError("state codes must lie in 0..3")
         self._n = n
-        self._packed = _pack(arr.astype(np.uint8))
+        self._packed = _pack(arr.astype(np.uint8, copy=False))
 
     @property
     def n(self) -> int:
@@ -209,16 +212,18 @@ def kendall_transform(values, tie_epsilon: float = 0.0) -> KendallSequence:
         raise DomainError(f"need at least 2 observations to form pairs, got {n}")
     if tie_epsilon < 0:
         raise DomainError(f"tie tolerance must be non-negative, got {tie_epsilon}")
-    a, b = _pair_arrays(n)
+    states = np.full((n, n), Symbol.TIE.value, dtype=np.uint8)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN: neither side, so TIE
-        gap = x[b] - x[a]
-    codes = np.full(n * (n - 1), Symbol.TIE.value, dtype=np.uint8)
-    codes[gap > tie_epsilon] = Symbol.ASC.value
-    codes[gap < -tie_epsilon] = Symbol.DESC.value
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = lo + _ROW_BLOCK
+            gap = x[None, :] - x[lo:hi, None]  # gap[a, b] = x[b] - x[a]
+            block = states[lo:hi]
+            block[gap > tie_epsilon] = Symbol.ASC.value
+            block[gap < -tie_epsilon] = Symbol.DESC.value
     nan = np.isnan(x)
-    if nan.any():
-        codes[nan[a] | nan[b]] = Symbol.MISSING.value
-    return KendallSequence(codes, n)
+    states[nan] = Symbol.MISSING.value
+    states[:, nan] = Symbol.MISSING.value
+    return KendallSequence(_off_diagonal(states).reshape(-1), n)
 
 
 def transform_system(

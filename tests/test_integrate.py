@@ -1,7 +1,12 @@
 """Tests for batch fusion of independently encoded sequences."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kendalltrans import (
     BatchMap,
@@ -65,6 +70,41 @@ class TestMergeTransformed:
             merged = merge_transformed([kendall_transform(p) for p in parts])
             np.testing.assert_array_equal(merged.codes, masked_full_transform(parts))
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(st.integers(0, 3).map(float), st.just(math.nan)),
+                min_size=2,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_matches_masked_oracle_property(self, parts):
+        parts = [np.array(p) for p in parts]
+        merged = merge_transformed([kendall_transform(p) for p in parts])
+        np.testing.assert_array_equal(merged.codes, masked_full_transform(parts))
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError):
+            merge_transformed([])
+
+    def test_memory_per_pair(self):
+        rng = np.random.default_rng(12)
+        seqs = [kendall_transform(rng.normal(size=1000)) for _ in range(2)]
+        m = 2000 * 1999
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            merged = merge_transformed(seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert merged.m == m
+        assert (peak - start) / m <= 4.0
+
     def test_single_batch_identity(self):
         seq = kendall_transform([3.0, 1.0, 2.0])
         assert merge_transformed([seq]) == seq
@@ -112,13 +152,6 @@ class TestMergeTransformed:
             [kendall_transform(p).codes for p in y_parts]
         ).astype(np.int64)
         assert mutual_information(mx, my) == mutual_information(pooled_x, pooled_y)
-
-    def test_size_mismatch_rejected(self):
-        seqs = [kendall_transform([1.0, 2.0]), kendall_transform([1.0, 2.0, 3.0])]
-        with pytest.raises(DomainError):
-            merge_transformed(seqs, BatchMap.from_sizes([2, 2]))
-        with pytest.raises(DomainError):
-            merge_transformed(seqs[:1], BatchMap.from_sizes([2, 3]))
 
 
 class TestCompleteFraction:

@@ -1,10 +1,13 @@
 """Tests for the pair scheme, the encoding, tie utilities and the inverse."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from kendalltrans import (
@@ -21,12 +24,12 @@ from kendalltrans import (
     transform_system,
     weighted_copeland,
 )
-from kendalltrans.transform import _average_ranks, _pair_arrays
+from kendalltrans.transform import _average_ranks, _off_diagonal
 
 A, D, T, M = Symbol.ASC, Symbol.DESC, Symbol.TIE, Symbol.MISSING
 
 
-def brute_transform(x):
+def brute_transform(x, tie_epsilon=0.0):
     """Independent oracle: explicit double loop over ordered pairs."""
     x = [float(v) for v in x]
     n = len(x)
@@ -37,9 +40,9 @@ def brute_transform(x):
                 continue
             if math.isnan(x[a]) or math.isnan(x[b]):
                 out.append(M)
-            elif x[a] < x[b]:
+            elif x[b] - x[a] > tie_epsilon:
                 out.append(A)
-            elif x[a] > x[b]:
+            elif x[a] - x[b] > tie_epsilon:
                 out.append(D)
             else:
                 out.append(T)
@@ -92,10 +95,10 @@ class TestPairScheme:
         with pytest.raises(DomainError):
             pair_index(0, 3, 3)
 
-    def test_pair_arrays_match_pair_at(self):
+    def test_off_diagonal_matches_pair_at(self):
         for n in range(2, 33):
-            a_idx, b_idx = _pair_arrays(n)
-            assert list(zip(a_idx.tolist(), b_idx.tolist())) == [
+            flat = _off_diagonal(np.arange(n * n).reshape(n, n)).reshape(-1)
+            assert [divmod(int(i), n) for i in flat] == [
                 pair_at(k, n) for k in range(pair_count(n))
             ]
 
@@ -114,6 +117,16 @@ class TestKendallTransform:
             if np.isnan(x).all():
                 continue
             assert symbols(kendall_transform(x)) == brute_transform(x)
+        # sizes straddling the encoder's row blocks, with infinities and a
+        # tolerance that turns the 0.3-spaced neighbours into ties
+        for n in (255, 256, 257, 513):
+            x = rng.integers(-6, 6, n) * 0.3
+            x[rng.random(n) < 0.05] = np.nan
+            x[rng.random(n) < 0.03] = np.inf
+            x[rng.random(n) < 0.03] = -np.inf
+            for eps in (0.0, 0.5):
+                got = kendall_transform(x, tie_epsilon=eps).codes.tolist()
+                assert got == brute_transform(x, eps)
 
     def test_monotone_invariance_cubic(self):
         rng = np.random.default_rng(0)
@@ -138,6 +151,40 @@ class TestKendallTransform:
                 for b in range(n):
                     if a != b:
                         assert seq.symbol_at(a, b) == seq.symbol_at(b, a).flipped
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-4, 4).map(lambda v: v / 2),
+                st.sampled_from([math.nan, math.inf, -math.inf]),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.floats(0.0, 3.0),
+    )
+    def test_antisymmetry_property(self, x, tie_epsilon):
+        seq = kendall_transform(x, tie_epsilon=tie_epsilon)
+        for a in range(seq.n):
+            for b in range(seq.n):
+                if a != b:
+                    assert seq.symbol_at(a, b) == seq.symbol_at(b, a).flipped
+
+    def test_memory_per_pair(self):
+        n = 2000
+        m = n * (n - 1)
+        x = np.random.default_rng(9).normal(size=n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            seq = kendall_transform(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / m <= 4.0
+        # only the packed result stays: no per-n cache outlives the call
+        assert (held - start - seq._packed.nbytes) / m < 0.01
 
     def test_tie_free_balance(self):
         rng = np.random.default_rng(5)
