@@ -135,7 +135,8 @@ def _decision_sequence(values):
     K*cat[b] + cat[a] when the labels differ, K*K when they agree and -1
     when either is missing.  That is the partition of pairs that joining
     the K indicator encodings gives, at O(m) for any K; the code order
-    makes two categories count exactly like their single indicator.
+    makes two categories count exactly like their single indicator.  Codes
+    take the smallest signed integer type that holds K*K.
     """
     x = _try_ordinal(values)
     if x is not None:
@@ -148,8 +149,10 @@ def _decision_sequence(values):
         raise DomainError(
             f"need at least 2 categories to carry information, got {k}"
         )
+    dtype = np.min_scalar_type(-k * k - 1)
+    cat = cat.astype(dtype)
     ca, cb = cat[:, None], cat[None, :]
-    codes = np.where(ca == cb, k * k, k * cb + ca)
+    codes = np.where(ca == cb, dtype.type(k * k), dtype.type(k) * cb + ca)
     miss = cat < 0
     codes[miss] = -1
     codes[:, miss] = -1

@@ -1,16 +1,22 @@
 """Delimited-text formats for original, encoded, weight and rank tables.
 
-Readers auto-detect comma or tab delimiters; writers always emit comma.
-Encoded and weight files start with a metadata line recording the object
-count and the pair-scheme tag, e.g. ``#kendall n=4 scheme=rowmajor-v1``;
-states are serialized as A, D, T and NA.
+Readers skip blank lines and take the delimiter from the header line (tab if
+it has one, else comma); writers emit comma. Header names may be quoted but
+not repeated. Encoded and weight files start with a metadata line recording
+the object count and the pair-scheme tag, e.g. ``#kendall n=4 scheme=rowmajor-v1``,
+and hold one row per ordered pair whose cells are bare tokens, stripped of
+surrounding whitespace: A, D, T and NA for states, numbers for weights. A
+quoted body cell is not unquoted; it is reported at its row and column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
+from collections import Counter
+from itertools import islice, repeat
 from typing import Mapping
 
 import numpy as np
@@ -28,7 +34,9 @@ _LETTER_OF = {
     Symbol.MISSING.value: "NA",
 }
 _CODE_OF = {letter: code for code, letter in _LETTER_OF.items()}
+_LETTERS = np.array([_LETTER_OF[c] for c in range(4)], dtype=object)
 _MISSING_TOKENS = {"", "NA", "NaN", "nan", "na"}
+_WEIGHT_STATES = ("asc", "desc", "tie")
 
 
 def _fmt(value) -> str:
@@ -41,41 +49,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_lines(path) -> list[str]:
+    """Non-blank lines, less a leading ``#`` comment that is not metadata."""
     with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+        lines = list(filter(None, fh.read().splitlines()))
+    if lines and lines[0].startswith("#") and not lines[0].startswith(META_PREFIX):
+        del lines[0]
     if not lines:
         raise DomainError(f"{path}: empty file")
-    meta = None
-    if lines[0].startswith("#"):
-        meta = lines[0]
-        lines = lines[1:]
-    body = [ln for ln in lines if ln != ""]
-    if not body:
-        raise DomainError(f"{path}: no header row")
-    delimiter = "\t" if "\t" in body[0] else ","
-    rows = list(csv.reader(body, delimiter=delimiter))
-    if meta is not None and meta.startswith(META_PREFIX):
-        rows.insert(0, [meta])
-    return rows
+    return lines
 
 
-def _parse_meta(path, row) -> int:
-    match = _META_RE.match(row[0]) if len(row) == 1 else None
-    if match is None:
+def _csv_rows(path, lines: list[str], delimiter: str, first_row: int) -> list[list[str]]:
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        return list(reader)
+    except csv.Error as exc:
         raise DomainError(
-            f"{path}: expected a metadata line like '{META_PREFIX} n=<n> scheme={PAIR_SCHEME}'"
-        )
-    n = int(match.group(1))
-    scheme = match.group(2)
-    if scheme != PAIR_SCHEME:
-        raise DomainError(
-            f"{path}: pair scheme {scheme!r} not supported (expected {PAIR_SCHEME!r})"
-        )
-    if n < 2:
-        raise DomainError(f"{path}: invalid object count n={n}")
-    return n
+            f"{path}: row {first_row + reader.line_num - 1}: {exc}"
+        ) from None
+
+
+def _parse_header(path, line: str, row: int) -> tuple[list[str], str]:
+    """Column names and the delimiter of a header line (tab if it has one)."""
+    delimiter = "\t" if "\t" in line else ","
+    (header,) = _csv_rows(path, [line], delimiter, row)
+    repeated = [name for name, seen in Counter(header).items() if seen > 1]
+    if repeated:
+        raise DomainError(f"{path}: column {repeated[0]!r} appears more than once")
+    return header, delimiter
 
 
 def read_table(path) -> dict[str, np.ndarray]:
@@ -87,10 +89,11 @@ def read_table(path) -> dict[str, np.ndarray]:
     arrays with NaN for missing; any other column becomes an object array
     with None for missing.
     """
-    rows = _read_rows(path)
-    if rows and len(rows[0]) == 1 and rows[0][0].startswith(META_PREFIX):
+    lines = _read_lines(path)
+    if lines[0].startswith(META_PREFIX):
         raise DomainError(f"{path}: this is an encoded file, not an original table")
-    header, data = rows[0], rows[1:]
+    header, delimiter = _parse_header(path, lines[0], 1)
+    data = _csv_rows(path, lines[1:], delimiter, 2)
     if not data:
         raise DomainError(f"{path}: no data rows")
     for i, row in enumerate(data, start=2):
@@ -100,27 +103,11 @@ def read_table(path) -> dict[str, np.ndarray]:
             )
     columns: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
-        cells = [row[j].strip() for row in data]
-        parsed: list = []
-        numeric = True
-        for cell in cells:
-            if cell in _MISSING_TOKENS:
-                parsed.append(None)
-                continue
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                numeric = False
-                break
-        if numeric:
-            columns[name] = np.array(
-                [np.nan if v is None else v for v in parsed], dtype=float
-            )
-        else:
-            columns[name] = np.array(
-                [None if cell in _MISSING_TOKENS else cell for cell in cells],
-                dtype=object,
-            )
+        cells = [None if c in _MISSING_TOKENS else c for c in (row[j].strip() for row in data)]
+        try:
+            columns[name] = np.array([np.nan if c is None else float(c) for c in cells])
+        except ValueError:
+            columns[name] = np.array(cells, dtype=object)
     return columns
 
 
@@ -141,32 +128,73 @@ def write_table(path, columns: Mapping[str, object]) -> None:
             writer.writerow([_fmt(arr[i]) for arr in arrays])
 
 
+def _read_pair_rows(path, kind: str) -> tuple[int, list[str], list[str]]:
+    """Object count, header and flat row-major body cells; pair row i is row i + 3."""
+    lines = _read_lines(path)
+    match = _META_RE.match(lines[0])
+    if match is None:
+        raise DomainError(
+            f"{path}: expected a metadata line like '{META_PREFIX} n=<n> scheme={PAIR_SCHEME}'"
+        )
+    n, scheme = int(match.group(1)), match.group(2)
+    if scheme != PAIR_SCHEME:
+        raise DomainError(
+            f"{path}: pair scheme {scheme!r} not supported (expected {PAIR_SCHEME!r})"
+        )
+    if n < 2:
+        raise DomainError(f"{path}: invalid object count n={n}")
+    if len(lines) < 2:
+        raise DomainError(f"{path}: missing header row")
+    header, delimiter = _parse_header(path, lines[1], 2)
+    del lines[:2]
+    m = pair_count(n)
+    if len(lines) != m:
+        raise DomainError(f"{path}: expected {m} {kind} rows for n={n}, found {len(lines)}")
+    widths = np.fromiter(map(str.count, lines, repeat(delimiter)), np.intp, m) + 1
+    bad = np.flatnonzero(widths != len(header))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            f"{path}: row {i + 3} has {widths[i]} fields, expected {len(header)}"
+        )
+    cells = list(map(str.strip, delimiter.join(lines).split(delimiter)))
+    return n, header, cells
+
+
+def _cell_error(path, header: list[str], k: int, problem: str) -> DomainError:
+    row, col = divmod(int(k), len(header))
+    return DomainError(f"{path}: row {row + 3}, column {header[col]!r}: {problem}")
+
+
+def _convert_cells(path, header, cells, convert, dtype, problem: str) -> np.ndarray:
+    """``convert`` of every cell as an (m, len(header)) array; the first cell it
+    rejects is the last one taken from the list iterator, which counts the rest."""
+    ahead = iter(cells)
+    try:
+        flat = np.fromiter(map(convert, ahead), dtype, len(cells))
+    except (KeyError, ValueError):
+        k = len(cells) - operator.length_hint(ahead) - 1
+        raise _cell_error(path, header, k, problem.format(cells[k])) from None
+    return flat.reshape(-1, len(header))
+
+
+def _write_pair_rows(path, n: int, header: list[str], columns: list[list[str]]) -> None:
+    """Metadata line, header, then rows joined in blocks, never the whole body."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"{META_PREFIX} n={n} scheme={PAIR_SCHEME}\n")
+        csv.writer(fh).writerow(header)
+        rows = map(",".join, zip(*columns))
+        while block := list(islice(rows, 1 << 16)):
+            fh.write("\r\n".join(block) + "\r\n")
+
+
 def read_transformed(path) -> dict[str, KendallSequence]:
     """Read an encoded system: metadata line, header, n*(n-1) state rows."""
-    rows = _read_rows(path)
-    n = _parse_meta(path, rows[0])
-    if len(rows) < 2:
-        raise DomainError(f"{path}: missing header row")
-    header, data = rows[1], rows[2:]
-    m = pair_count(n)
-    if len(data) != m:
-        raise DomainError(
-            f"{path}: expected {m} state rows for n={n}, found {len(data)}"
-        )
-    codes = np.empty((m, len(header)), dtype=np.uint8)
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise DomainError(
-                f"{path}: row {i + 3} has {len(row)} fields, expected {len(header)}"
-            )
-        for j, cell in enumerate(row):
-            code = _CODE_OF.get(cell.strip())
-            if code is None:
-                raise DomainError(
-                    f"{path}: row {i + 3}, column {header[j]!r}: "
-                    f"unknown state {cell!r} (expected A, D, T or NA)"
-                )
-            codes[i, j] = code
+    n, header, cells = _read_pair_rows(path, "state")
+    codes = _convert_cells(
+        path, header, cells, _CODE_OF.__getitem__, np.uint8,
+        "unknown state {!r} (expected A, D, T or NA)",
+    )
     return {name: KendallSequence(codes[:, j], n) for j, name in enumerate(header)}
 
 
@@ -181,65 +209,39 @@ def write_transformed(path, columns: Mapping[str, KendallSequence]) -> None:
             raise DomainError(
                 f"column {name!r} has n={columns[name].n}, expected {n}"
             )
-    letters = np.array([_LETTER_OF[c] for c in range(4)])
-    cols = [letters[columns[name].codes] for name in names]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"{META_PREFIX} n={n} scheme={PAIR_SCHEME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*cols):
-            writer.writerow(row)
+    _write_pair_rows(
+        path, n, names, [_LETTERS[columns[name].codes].tolist() for name in names]
+    )
 
 
 def read_weights(path) -> tuple[dict[str, np.ndarray], int]:
     """Read per-pair state weights: columns ``<feature>:asc/:desc/:tie``.
 
     Returns (weights keyed by feature, object count n); each weight array
-    has shape (n*(n-1), 3) with columns ordered (asc, desc, tie).
+    has shape (n*(n-1), 3) with columns ordered (asc, desc, tie). Every
+    weight must be finite and non-negative.
     """
-    rows = _read_rows(path)
-    n = _parse_meta(path, rows[0])
-    if len(rows) < 2:
-        raise DomainError(f"{path}: missing header row")
-    header, data = rows[1], rows[2:]
-    m = pair_count(n)
-    if len(data) != m:
-        raise DomainError(f"{path}: expected {m} weight rows for n={n}, found {len(data)}")
+    n, header, cells = _read_pair_rows(path, "weight")
     groups: dict[str, dict[str, int]] = {}
     for j, name in enumerate(header):
-        if ":" not in name:
+        feature, colon, state = name.rpartition(":")
+        if not colon or state not in _WEIGHT_STATES:
             raise DomainError(f"{path}: weight column {name!r} lacks a ':asc/:desc/:tie' suffix")
-        feature, state = name.rsplit(":", 1)
-        if state not in ("asc", "desc", "tie"):
-            raise DomainError(f"{path}: unknown state suffix in column {name!r}")
         groups.setdefault(feature, {})[state] = j
-    values = np.empty((m, len(header)))
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise DomainError(f"{path}: row {i + 3} has {len(row)} fields, expected {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise DomainError(
-                    f"{path}: row {i + 3}, column {header[j]!r}: not a number: {cell!r}"
-                ) from None
-    bad = np.argwhere(~np.isfinite(values))
+    values = _convert_cells(path, header, cells, float, float, "not a number: {!r}")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
     if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"{path}: row {i + 3}, column {header[j]!r}: weight is not finite: {data[i][j]!r}"
-        )
+        k = bad[0]
+        problem = "is negative" if math.isfinite(values.flat[k]) else "is not finite"
+        raise _cell_error(path, header, k, f"weight {problem}: {cells[k]!r}")
     out: dict[str, np.ndarray] = {}
     for feature, cols in groups.items():
-        missing = {"asc", "desc", "tie"} - set(cols)
+        missing = set(_WEIGHT_STATES) - set(cols)
         if missing:
             raise DomainError(
                 f"{path}: feature {feature!r} lacks weight columns {sorted(missing)}"
             )
-        out[feature] = np.column_stack(
-            [values[:, cols["asc"]], values[:, cols["desc"]], values[:, cols["tie"]]]
-        )
+        out[feature] = np.column_stack([values[:, cols[s]] for s in _WEIGHT_STATES])
     return out, n
 
 
@@ -250,17 +252,12 @@ def write_weights(path, weights: Mapping[str, np.ndarray], n: int) -> None:
     if not names:
         raise DomainError("nothing to write")
     header: list[str] = []
-    cols: list[np.ndarray] = []
+    cols: list[list[str]] = []
     for name in names:
         w = np.asarray(weights[name], dtype=float)
         if w.shape != (m, 3):
             raise DomainError(f"weights for {name!r} must have shape ({m}, 3), got {w.shape}")
-        for k, state in enumerate(("asc", "desc", "tie")):
+        for k, state in enumerate(_WEIGHT_STATES):
             header.append(f"{name}:{state}")
-            cols.append(w[:, k])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"{META_PREFIX} n={n} scheme={PAIR_SCHEME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(m):
-            writer.writerow([repr(float(c[i])) for c in cols])
+            cols.append(list(map(repr, w[:, k].tolist())))
+    _write_pair_rows(path, n, header, cols)

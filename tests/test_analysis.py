@@ -1,6 +1,7 @@
 """Tests for binning, ranking, agreement metrics and the simulation harnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kendalltrans import (
     spearman_rho,
     split_merge_rankings,
 )
-from kendalltrans.analysis import PERCENTILE_LEVELS, _rng
+from kendalltrans.analysis import PERCENTILE_LEVELS, _decision_sequence, _rng
 
 LOG2 = math.log(2.0)
 
@@ -165,6 +166,33 @@ class TestRankFeatures:
                 want = mutual_information(kendall_transform(x), joint)
                 got = rank_features({"f": x, "y": labels}, "y").scores["f"]
                 assert abs(got - want) <= 2e-15
+
+    def test_categorical_decision_codes_are_narrow(self):
+        rng = np.random.default_rng(13)
+        for k in (3, 12, 182):
+            labels = np.array([f"c{v}" for v in np.arange(400) % k], dtype=object)
+            labels[rng.random(400) < 0.05] = None
+            codes = _decision_sequence(labels)
+            first_seen: dict = {}
+            cat = np.array([
+                -1 if v is None else first_seen.setdefault(v, len(first_seen))
+                for v in labels
+            ])
+            k = len(first_seen)
+            want = np.where(cat[:, None] == cat[None, :], k * k, k * cat[None, :] + cat[:, None])
+            want[(cat[:, None] < 0) | (cat[None, :] < 0)] = -1
+            np.testing.assert_array_equal(codes, want[~np.eye(400, dtype=bool)])
+            assert codes.dtype == np.min_scalar_type(-k * k - 1)
+        n = 2000
+        labels = np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, n)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            codes = _decision_sequence(labels)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * n * (n - 1)
 
     def test_one_label_per_object(self):
         rng = np.random.default_rng(12)

@@ -313,6 +313,16 @@ class TestFileFormats:
         assert "row 3, column 'x:tie'" in message
         assert "'nan'" in message
 
+    def test_weights_reject_first_negative_cell(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text(
+            "#kendall n=2 scheme=rowmajor-v1\nx:asc,x:desc,x:tie\n1,0,0\n0,-1,inf\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DomainError) as info:
+            tableio.read_weights(path)
+        assert str(info.value) == f"{path}: row 4, column 'x:desc': weight is negative: '-1'"
+
     def test_transformed_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         system = {
@@ -323,3 +333,103 @@ class TestFileFormats:
         tableio.write_transformed(path, system)
         back = tableio.read_transformed(path)
         assert back == system
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("layout", ["bare", "padded", "blank lines"])
+    def test_transformed_file_contract(self, tmp_path, delimiter, eol, layout):
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 3, 5).astype(float)
+        x[1] = np.nan
+        system = {"a,b": kendall_transform(x), 'q"x': kendall_transform(rng.normal(size=5))}
+        letters = np.array(["A", "D", "T", "NA"])
+        pad = " " if layout == "padded" else ""
+        rows = [
+            delimiter.join(f"{pad}{cell}{pad}" for cell in row)
+            for row in zip(*(letters[seq.codes] for seq in system.values()))
+        ]
+        if layout == "blank lines":
+            rows = [line for row in rows for line in (row, "")]
+        text = "#kendall n=5 scheme=rowmajor-v1\n" + eol.join(
+            [delimiter.join(['"a,b"', '"q""x"']), *rows]
+        ) + eol
+        path = tmp_path / "enc.csv"
+        path.write_bytes(text.encode())
+        assert tableio.read_transformed(path) == system
+        if (delimiter, eol, layout) == (",", "\r\n", "bare"):
+            written = tmp_path / "written.csv"
+            tableio.write_transformed(written, system)
+            assert written.read_bytes() == text.encode()
+
+    def test_weights_round_trip_is_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(9)
+        weights = {"x": rng.random((12, 3)), "a,b": rng.random((12, 3)) * 1e-300}
+        weights["x"][:3] = [[-0.0, 5e-324, 1e308], [0.0, 1.0, 0.1], [2.0**-1074, 1e-5, 7.0]]
+        path = tmp_path / "weights.csv"
+        tableio.write_weights(path, weights, 4)
+        back, n = tableio.read_weights(path)
+        assert n == 4 and list(back) == list(weights)
+        for name, w in weights.items():
+            assert back[name].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, body, where",
+        [
+            pytest.param(
+                "state", "x,y\nA,D\nD,Q\n", "row 4, column 'y': unknown state 'Q'",
+                id="unknown-state",
+            ),
+            pytest.param(
+                "weight", "x:asc,x:desc,x:tie\n1,0,0\n0,1e,0\n",
+                "row 4, column 'x:desc': not a number: '1e'",
+                id="non-number-weight",
+            ),
+            pytest.param(
+                "state", "x,y\nA,D,T\nD,A\n", "row 3 has 3 fields, expected 2",
+                id="row-width",
+            ),
+            pytest.param(
+                "state", "x,y\nA,D\n\"D\",A\n", "row 4, column 'x': unknown state '\"D\"'",
+                id="quoted-cell",
+            ),
+        ],
+    )
+    def test_pair_row_files_name_first_bad_cell(self, tmp_path, kind, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("#kendall n=2 scheme=rowmajor-v1\n" + body, encoding="utf-8")
+        reader = tableio.read_transformed if kind == "state" else tableio.read_weights
+        with pytest.raises(DomainError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path}: {where}")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param(
+                "inverse", "#kendall n=2 scheme=rowmajor-v1\nx,x\nA,D\nD,A\n",
+                id="encoded",
+            ),
+            pytest.param(
+                "inverse --weighted",
+                "#kendall n=2 scheme=rowmajor-v1\nx:asc,x:desc,x:tie,x:asc\n"
+                "1,0,0,1\n0,1,0,0\n",
+                id="weights",
+            ),
+            pytest.param("transform", "a,a,y\n1,2,3\n4,5,6\n", id="table"),
+        ],
+    )
+    def test_repeated_header_name_fails(self, tmp_path, capsys, command, text):
+        src = tmp_path / "in.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([*command.split(), str(src), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: column ") and "appears more than once" in err
+        assert not out.exists()
+
+    def test_oversized_cell_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "wide.csv"
+        src.write_text("a,b\n1,2\n3," + "x" * 200_000 + "\n", encoding="utf-8")
+        assert main(["transform", str(src), str(tmp_path / "enc.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: row 3: field larger than field limit")
