@@ -38,7 +38,7 @@ from .infotheory import (
     mi_from_tau,
     mutual_information,
 )
-from .integrate import BatchMap, complete_fraction, merge_transformed
+from .integrate import complete_fraction, merge_transformed
 from .analysis import (
     FeatureRanking,
     SimResult,
@@ -83,7 +83,6 @@ __all__ = [
     "mi_from_rho",
     "mi_from_tau",
     "mutual_information",
-    "BatchMap",
     "complete_fraction",
     "merge_transformed",
     "FeatureRanking",

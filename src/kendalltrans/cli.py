@@ -32,7 +32,7 @@ def _parse_jitter(text: str) -> tuple[int, float]:
         raise DomainError(
             f"--jitter expects SEED:SCALE (e.g. 7:1e-6), got {text!r}"
         ) from None
-    if scale <= 0:
+    if not scale > 0:  # checked here too: a table may have no numeric column
         raise DomainError(f"jitter scale must be positive, got {scale}")
     return seed, scale
 
@@ -58,26 +58,28 @@ def _log_base(args) -> float:
 
 def _cmd_transform(args) -> int:
     table = tableio.read_table(args.input)
+    jitter = None if args.jitter is None else _parse_jitter(args.jitter)
     columns: dict[str, np.ndarray] = {}
     for name, values in table.items():
         if values.dtype.kind == "f":
+            if jitter is not None:
+                # stream [seed, i], i the column's place in the encoded file
+                seed, scale = jitter
+                values = jitter_ties(values, [seed, len(columns)], scale)
             columns[name] = values
         elif args.expand_categorical:
             for cat, indicator in expand_categorical(values).items():
-                columns[f"{name}={cat}"] = indicator
+                indicator_name = f"{name}={cat}"
+                if indicator_name in table or indicator_name in columns:
+                    raise DomainError(
+                        f"indicator column {indicator_name!r} clashes with "
+                        "another column of that name"
+                    )
+                columns[indicator_name] = indicator
         else:
             raise DomainError(
                 f"column {name!r} is not numeric; rerun with --expand-categorical"
             )
-    if args.jitter is not None:
-        seed, scale = _parse_jitter(args.jitter)
-        columns = {
-            name: jitter_ties(v, [seed, i], scale)
-            for i, (name, v) in enumerate(columns.items())
-        }
-    lengths = {len(v) for v in columns.values()}
-    if len(lengths) != 1:
-        raise DomainError(f"ragged columns: lengths {sorted(lengths)}")
     encoded = {name: kendall_transform(v) for name, v in columns.items()}
     tableio.write_transformed(args.output, encoded)
     return 0

@@ -9,7 +9,6 @@ positions, so the fused system is usable directly for scoring and selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,29 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .transform import KendallSequence, Symbol
 
-__all__ = ["BatchMap", "merge_transformed", "complete_fraction"]
-
-
-@dataclass(frozen=True)
-class BatchMap:
-    """Placement of disjoint batches inside the merged object space."""
-
-    sizes: tuple[int, ...]
-    offsets: tuple[int, ...]
-
-    @classmethod
-    def from_sizes(cls, sizes: Sequence[int]) -> "BatchMap":
-        sizes = tuple(int(s) for s in sizes)
-        if not sizes:
-            raise DomainError("need at least one batch")
-        if any(s < 2 for s in sizes):
-            raise DomainError(f"every batch needs n >= 2, got sizes {sizes}")
-        offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-        return cls(sizes=sizes, offsets=offsets)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
+__all__ = ["merge_transformed", "complete_fraction"]
 
 
 def merge_transformed(batches: Sequence[KendallSequence]) -> KendallSequence:

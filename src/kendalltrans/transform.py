@@ -25,7 +25,7 @@ from .errors import DomainError
 PAIR_SCHEME = "rowmajor-v1"
 
 #: Rows of the n x n state array compared at once by kendall_transform, so
-#: its float gap buffer stays at _ROW_BLOCK x n instead of n x n.
+#: its boolean comparison masks stay at _ROW_BLOCK x n instead of n x n.
 _ROW_BLOCK = 256
 
 
@@ -176,9 +176,6 @@ class KendallSequence:
         byte = self._packed[index >> 2]
         return Symbol((byte >> (2 * (index & 3))) & 3)
 
-    def __iter__(self):
-        return iter(Symbol(c) for c in self.codes)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, KendallSequence):
             return NotImplemented
@@ -194,41 +191,32 @@ class KendallSequence:
         )
 
 
-def kendall_transform(values, tie_epsilon: float = 0.0) -> KendallSequence:
+def kendall_transform(values) -> KendallSequence:
     """Encode every ordered pair of entries as ASC, DESC or TIE.
 
     Pairs touching a NaN entry come out MISSING.  The output depends on the
     input only through its ranking: kendall_transform(f(x)) equals
     kendall_transform(x) for any strictly increasing f.
-
-    `tie_epsilon` widens tie detection to |x[a] - x[b]| <= tie_epsilon for
-    inputs whose resolution makes exact comparison misleading; the default
-    keeps exact equality (prefer :func:`jitter_ties` for resolution
-    artifacts that should not be ties at all).
     """
     x = _as_ordinal(values)
     n = x.size
     if n < 2:
         raise DomainError(f"need at least 2 observations to form pairs, got {n}")
-    if tie_epsilon < 0:
-        raise DomainError(f"tie tolerance must be non-negative, got {tie_epsilon}")
     states = np.full((n, n), Symbol.TIE.value, dtype=np.uint8)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN: neither side, so TIE
-        for lo in range(0, n, _ROW_BLOCK):
-            hi = lo + _ROW_BLOCK
-            gap = x[None, :] - x[lo:hi, None]  # gap[a, b] = x[b] - x[a]
-            block = states[lo:hi]
-            block[gap > tie_epsilon] = Symbol.ASC.value
-            block[gap < -tie_epsilon] = Symbol.DESC.value
+    for lo in range(0, n, _ROW_BLOCK):
+        # row a of the block holds x[a] against every x[b]; inf vs inf and
+        # NaN compare false both ways, so they stay TIE until masked below
+        row = x[lo : lo + _ROW_BLOCK, None]
+        block = states[lo : lo + _ROW_BLOCK]
+        block[x[None, :] > row] = Symbol.ASC.value
+        block[x[None, :] < row] = Symbol.DESC.value
     nan = np.isnan(x)
     states[nan] = Symbol.MISSING.value
     states[:, nan] = Symbol.MISSING.value
     return KendallSequence(_off_diagonal(states).reshape(-1), n)
 
 
-def transform_system(
-    table: Mapping[str, Sequence], tie_epsilon: float = 0.0
-) -> dict[str, KendallSequence]:
+def transform_system(table: Mapping[str, Sequence]) -> dict[str, KendallSequence]:
     """Encode every column of a named table under one shared pair scheme."""
     if not table:
         raise DomainError("empty system")
@@ -242,7 +230,7 @@ def transform_system(
             raise DomainError(
                 f"column {name!r} has length {x.size}, expected {n}"
             )
-        out[name] = kendall_transform(x, tie_epsilon=tie_epsilon)
+        out[name] = kendall_transform(x)
     return out
 
 

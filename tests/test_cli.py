@@ -81,6 +81,42 @@ class TestTransformCommand:
         assert main(["transform", "--jitter", "1:1e-300", str(src), str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_indicator_name_clash_rejected(self, tmp_path, capsys):
+        out = tmp_path / "enc.csv"
+        clashes = {
+            "column": (["c", "c=red"], [["red", 1.0], ["blue", 2.0], ["red", 3.0]]),
+            "indicator": (["c", "c=r"], [["r=x", "x"], ["b", "y"], ["r=x", "x"]]),
+        }
+        for header, rows in clashes.values():
+            src = tmp_path / "clash.csv"
+            write_csv(src, header, rows)
+            argv = ["transform", "--expand-categorical", str(src), str(out)]
+            assert main(argv) == 1
+            assert "'c=r" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jitter_leaves_indicators_alone(self, tmp_path):
+        src = tmp_path / "mixed.csv"
+        write_csv(
+            src,
+            ["color", "v"],
+            [["red", 1.0], ["blue", 1.0], ["red", 2.0], ["red", 2.0], ["blue", 3.0]],
+        )
+        plain, jittered = tmp_path / "plain.csv", tmp_path / "jit.csv"
+        assert main(["transform", "--expand-categorical", str(src), str(plain)]) == 0
+        argv = ["transform", "--expand-categorical", "--jitter", "3:0.5"]
+        assert main(argv + [str(src), str(jittered)]) == 0
+        before = tableio.read_transformed(plain)
+        after = tableio.read_transformed(jittered)
+        # 3 red and 2 blue objects: 3*2 + 2*1 within-class ordered pairs tie
+        assert after["color=red"].counts()[2] == 8
+        assert after["color=red"] == before["color=red"]
+        assert before["v"].counts()[2] == 4 and after["v"].counts()[2] == 0
+        # an out-of-range scale fails even when no numeric column needs it
+        write_csv(src, ["color"], [["red"], ["blue"], ["red"]])
+        for bad in ("3:0", "3:nan"):
+            assert main(argv[:3] + [bad, str(src), str(jittered)]) == 1
+
     def test_unreadable_and_ragged_inputs_fail(self, tmp_path, capsys):
         out = tmp_path / "enc.csv"
         assert main(["transform", str(tmp_path / "absent.csv"), str(out)]) == 1

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kendalltrans import (
-    BatchMap,
     DomainError,
     Symbol,
     complete_fraction,
@@ -37,19 +36,6 @@ def masked_full_transform(parts):
             if a != b and batch_of[a] != batch_of[b]:
                 codes[pair_index(a, b, n)] = M.value
     return codes
-
-
-class TestBatchMap:
-    def test_offsets_are_prefix_sums(self):
-        bm = BatchMap.from_sizes([3, 2, 4])
-        assert bm.offsets == (0, 3, 5)
-        assert bm.total == 9
-
-    def test_small_batches_rejected(self):
-        with pytest.raises(DomainError):
-            BatchMap.from_sizes([3, 1])
-        with pytest.raises(DomainError):
-            BatchMap.from_sizes([])
 
 
 class TestMergeTransformed:

@@ -29,7 +29,7 @@ from kendalltrans.transform import _average_ranks, _off_diagonal
 A, D, T, M = Symbol.ASC, Symbol.DESC, Symbol.TIE, Symbol.MISSING
 
 
-def brute_transform(x, tie_epsilon=0.0):
+def brute_transform(x):
     """Independent oracle: explicit double loop over ordered pairs."""
     x = [float(v) for v in x]
     n = len(x)
@@ -40,9 +40,9 @@ def brute_transform(x, tie_epsilon=0.0):
                 continue
             if math.isnan(x[a]) or math.isnan(x[b]):
                 out.append(M)
-            elif x[b] - x[a] > tie_epsilon:
+            elif x[b] > x[a]:
                 out.append(A)
-            elif x[a] - x[b] > tie_epsilon:
+            elif x[a] > x[b]:
                 out.append(D)
             else:
                 out.append(T)
@@ -117,16 +117,13 @@ class TestKendallTransform:
             if np.isnan(x).all():
                 continue
             assert symbols(kendall_transform(x)) == brute_transform(x)
-        # sizes straddling the encoder's row blocks, with infinities and a
-        # tolerance that turns the 0.3-spaced neighbours into ties
+        # sizes straddling the encoder's row blocks, with infinities
         for n in (255, 256, 257, 513):
             x = rng.integers(-6, 6, n) * 0.3
             x[rng.random(n) < 0.05] = np.nan
             x[rng.random(n) < 0.03] = np.inf
             x[rng.random(n) < 0.03] = -np.inf
-            for eps in (0.0, 0.5):
-                got = kendall_transform(x, tie_epsilon=eps).codes.tolist()
-                assert got == brute_transform(x, eps)
+            assert kendall_transform(x).codes.tolist() == brute_transform(x)
 
     def test_monotone_invariance_cubic(self):
         rng = np.random.default_rng(0)
@@ -161,11 +158,10 @@ class TestKendallTransform:
             ),
             min_size=2,
             max_size=40,
-        ),
-        st.floats(0.0, 3.0),
+        )
     )
-    def test_antisymmetry_property(self, x, tie_epsilon):
-        seq = kendall_transform(x, tie_epsilon=tie_epsilon)
+    def test_antisymmetry_property(self, x):
+        seq = kendall_transform(x)
         for a in range(seq.n):
             for b in range(seq.n):
                 if a != b:
@@ -208,22 +204,32 @@ class TestKendallTransform:
             kendall_transform([1.0])
 
     def test_infinities_tie_without_warning(self):
-        x = [np.inf, -np.inf, np.inf, 1.0, -np.inf]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exact = kendall_transform(x)
-            tolerant = kendall_transform(x, tie_epsilon=0.5)
-        assert symbols(exact) == brute_transform(x)
-        assert symbols(tolerant) == brute_transform(x)
+        # the last input overflows if the encoder subtracts values
+        for x in ([np.inf, -np.inf, np.inf, 1.0, -np.inf], [1e308, -1e308, 0.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                seq = kendall_transform(x)
+            assert symbols(seq) == brute_transform(x)
 
-    def test_tie_tolerance_flag(self):
-        x = [1.0, 1.05, 2.0]
-        assert symbols(kendall_transform(x)) == [A, A, D, A, D, D]
-        assert symbols(kendall_transform(x, tie_epsilon=0.1)) == [T, A, T, A, D, D]
-        seq = kendall_transform([1.0, 1.05, np.nan], tie_epsilon=0.1)
-        assert symbols(seq) == [T, M, T, M, M, M]
-        with pytest.raises(DomainError):
-            kendall_transform(x, tie_epsilon=-0.5)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                # quarters cube and scale exactly, so f stays strictly increasing
+                st.integers(-40, 40).map(lambda v: v / 4),
+                st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.sampled_from([0.25, 3.0, 1e6]),
+        st.integers(-100, 100),
+    )
+    def test_monotone_invariance_property(self, x, scale, shift):
+        x = np.array(x)
+        packed = kendall_transform(x)._packed.tobytes()
+        assert kendall_transform(scale * x + shift)._packed.tobytes() == packed
+        assert kendall_transform(x**3)._packed.tobytes() == packed
 
 
 class TestTransformSystem:
@@ -324,6 +330,19 @@ class TestCopelandInverse:
         ranking = copeland_inverse(kendall_transform([7, 7, 7, 7]))
         assert np.unique(ranking.ranks).size == 1
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, width=64), min_size=2, max_size=40, unique=True
+        )
+    )
+    def test_round_trip_property(self, x):
+        # tie-free: the smallest value has the top score n - 1 and rank 1
+        x = np.array(x)
+        ranking = copeland_inverse(kendall_transform(x))
+        np.testing.assert_array_equal(ranking.ranks, _average_ranks(x))
+        np.testing.assert_array_equal(ranking.score, x.size + 1 - 2 * ranking.ranks)
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -422,6 +441,11 @@ class TestKendallSequenceContainer:
             assert len(seq) == n * (n - 1)
             assert seq[0] == Symbol(codes[0])
             assert seq == KendallSequence(codes.copy(), n)
+
+    def test_iteration_yields_every_symbol(self):
+        seq = kendall_transform([2.0, np.nan, 1.0, 2.0])
+        assert list(seq) == [seq[i] for i in range(seq.m)]
+        assert all(isinstance(s, Symbol) for s in seq)
 
     def test_memory_is_quarter_byte_per_state(self):
         seq = kendall_transform(np.arange(100, dtype=float))
