@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DomainError
 from .infotheory import (
-    _as_codes,
     conditional_mi,
     interaction_information,
     make_joint,
@@ -29,6 +28,7 @@ from .transform import (
     KendallSequence,
     _as_ordinal,
     _average_ranks,
+    _label_codes,
     _off_diagonal,
     kendall_transform,
 )
@@ -143,8 +143,8 @@ def _decision_sequence(values):
         if np.unique(x[~np.isnan(x)]).size < 2:
             raise DomainError("decision column is constant")
         return kendall_transform(x)
-    cat = _as_codes(np.asarray(values, dtype=object))
-    k = int(cat.max()) + 1
+    cat, labels = _label_codes(np.asarray(values, dtype=object))
+    k = len(labels)
     if k < 2:
         raise DomainError(
             f"need at least 2 categories to carry information, got {k}"
@@ -170,19 +170,33 @@ def _ranking_from_sequences(
     return FeatureRanking(entries=tuple(scored[i] for i in order), method=method)
 
 
+_BINNERS = {"width": bin_equal_width, "freq": bin_equal_frequency}
+
+
 def rank_features(
     table: Mapping[str, Sequence],
     decision: str,
     method: str = "kendall",
-    bins: int = 3,
 ) -> FeatureRanking:
     """Rank feature columns by plug-in MI against the decision column.
 
     method "kendall" pair-encodes the columns (a numeric decision is encoded
     too; a categorical one gets one code per ordered pair of labels).
-    Methods "width" and "freq" discretise numeric columns into `bins` bins
-    instead; a categorical decision is then used as-is.
+    Methods "width:<k>" and "freq:<k>" discretise numeric columns into k
+    equal-width or equal-frequency bins instead; a categorical decision is
+    then used as-is.
     """
+    if method != "kendall":
+        prefix, colon, count = method.partition(":")
+        binner = _BINNERS.get(prefix) if colon else None
+        if binner is None:
+            raise DomainError(
+                f"unknown method {method!r} (expected kendall, width:<k> or freq:<k>)"
+            )
+        try:
+            bins = int(count)
+        except ValueError:
+            raise DomainError(f"bad bin count in method {method!r}") from None
     if decision not in table:
         raise DomainError(f"decision column {decision!r} not in table")
     features = {name: v for name, v in table.items() if name != decision}
@@ -199,19 +213,15 @@ def rank_features(
         dec_seq = _decision_sequence(table[decision])
         seqs = {name: kendall_transform(v) for name, v in features.items()}
         return _ranking_from_sequences(seqs, dec_seq, "kendall")
-    if method in ("width", "freq"):
-        binner = bin_equal_width if method == "width" else bin_equal_frequency
-        dec_num = _try_ordinal(table[decision])
-        if dec_num is not None:
-            dec_cat = binner(dec_num, bins)
-        else:
-            dec_cat = np.asarray(table[decision])  # categorical labels pass through
-            observed = {v for v in dec_cat if v is not None}
-            if len(observed) < 2:
-                raise DomainError("decision column is constant")
-        seqs = {name: binner(v, bins) for name, v in features.items()}
-        return _ranking_from_sequences(seqs, dec_cat, f"{method}:{bins}")
-    raise DomainError(f"unknown ranking method {method!r}")
+    dec_num = _try_ordinal(table[decision])
+    if dec_num is not None:
+        dec_cat = binner(dec_num, bins)
+    else:  # categorical labels pass through as codes
+        dec_cat, labels = _label_codes(np.asarray(table[decision], dtype=object))
+        if len(labels) < 2:
+            raise DomainError("decision column is constant")
+    seqs = {name: binner(v, bins) for name, v in features.items()}
+    return _ranking_from_sequences(seqs, dec_cat, f"{prefix}:{bins}")
 
 
 def jaccard_max(ranking: FeatureRanking, reference) -> float:
@@ -257,9 +267,6 @@ class SimResult:
 
     estimates: dict[str, np.ndarray]
     percentiles: dict[str, dict[int, float]]
-
-    def median(self, key: str) -> float:
-        return self.percentiles[key][50]
 
 
 def _five_point(values: np.ndarray) -> dict[int, float]:

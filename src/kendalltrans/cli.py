@@ -1,12 +1,14 @@
 """Command-line front end: transform, inverse, score, merge and simulate.
 
-All commands are deterministic for fixed input bytes, flags and seed; file
-formats are documented in :mod:`kendalltrans.tableio`.
+All commands are deterministic given input bytes and flags (``--seed`` for
+``simulate``); each command accepts only the options it reads.  File formats
+are documented in :mod:`kendalltrans.tableio`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -35,21 +37,6 @@ def _parse_jitter(text: str) -> tuple[int, float]:
     if not scale > 0:  # checked here too: a table may have no numeric column
         raise DomainError(f"jitter scale must be positive, got {scale}")
     return seed, scale
-
-
-def _parse_method(text: str) -> tuple[str, int]:
-    if text == "kendall":
-        return "kendall", 0
-    for prefix in ("width", "freq"):
-        if text.startswith(prefix + ":"):
-            try:
-                k = int(text.split(":", 1)[1])
-            except ValueError:
-                raise DomainError(f"bad bin count in method {text!r}") from None
-            return prefix, k
-    raise DomainError(
-        f"unknown method {text!r} (expected kendall, width:<k> or freq:<k>)"
-    )
 
 
 def _log_base(args) -> float:
@@ -100,8 +87,7 @@ def _cmd_inverse(args) -> int:
 
 def _cmd_score(args) -> int:
     table = tableio.read_table(args.input)
-    method, bins = _parse_method(args.method)
-    ranking = analysis.rank_features(table, args.decision, method=method, bins=bins)
+    ranking = analysis.rank_features(table, args.decision, method=args.method)
     divisor = math.log(_log_base(args))
     print("feature,score")
     for name, score in ranking.entries:
@@ -138,79 +124,86 @@ def _tidy_value(v: float) -> str:
     return repr(float(v))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate_bivariate(args) -> int:
     divisor = math.log(_log_base(args))
-    if args.kind == "bivariate":
-        result = analysis.simulate_bivariate(args.r, args.n, args.reps, args.seed)
-        rows = []
-        for rep in range(args.reps):
-            for name in ("kendall", "width3", "width5", "gauss"):
-                rows.append([rep, name, _tidy_value(result.estimates[name][rep] / divisor)])
-        _write_tidy(args.output, ["replicate", "estimator", "value"], rows)
-        print("estimator,p5,p25,p50,p75,p95")
+    result = analysis.simulate_bivariate(args.r, args.n, args.reps, args.seed)
+    rows = []
+    for rep in range(args.reps):
         for name in ("kendall", "width3", "width5", "gauss"):
-            bands = result.percentiles[name]
-            print(name + "," + ",".join(_tidy_value(bands[q] / divisor) for q in (5, 25, 50, 75, 95)))
-        return 0
-    if args.kind == "multivariate":
-        lambdas = [float(t) for t in args.lambdas.split(",") if t != ""]
-        if not lambdas:
-            raise DomainError("--lambdas needs at least one value")
-        score_names = (
-            "mi_a_y", "mi_b_y", "mi_ab_y",
-            "cmi_a_b_given_y", "cmi_a_c_given_y", "interaction_a_b_y",
-        )
-        rows = []
-        for li, lam in enumerate(lambdas):
-            for rep in range(args.reps):
-                scores = analysis.simulate_multivariate(
-                    lam, kind=args.mixture, n=args.n, seed=[args.seed, li, rep]
-                )
-                for name in score_names:
-                    rows.append([rep, lam, name, _tidy_value(scores[name] / divisor)])
-        _write_tidy(args.output, ["replicate", "lambda", "score", "value"], rows)
-        return 0
-    if args.kind == "integration":
-        if args.input is not None:
-            table = tableio.read_table(args.input)
-        else:
-            table = analysis.make_correlated_table(seed=args.seed, decision=args.decision)
-        result = analysis.simulate_integration(
-            table, args.decision, scale=args.scale, reps=args.reps, seed=args.seed
-        )
-        rows = []
+            rows.append([rep, name, _tidy_value(result.estimates[name][rep] / divisor)])
+    _write_tidy(args.output, ["replicate", "estimator", "value"], rows)
+    print("estimator,p5,p25,p50,p75,p95")
+    for name in ("kendall", "width3", "width5", "gauss"):
+        bands = result.percentiles[name]
+        print(name + "," + ",".join(_tidy_value(bands[q] / divisor) for q in (5, 25, 50, 75, 95)))
+    return 0
+
+
+def _cmd_simulate_multivariate(args) -> int:
+    divisor = math.log(_log_base(args))
+    lambdas = [float(t) for t in args.lambdas.split(",") if t != ""]
+    if not lambdas:
+        raise DomainError("--lambdas needs at least one value")
+    if args.reps < 1:
+        raise DomainError(f"need at least 1 replicate, got {args.reps}")
+    score_names = (
+        "mi_a_y", "mi_b_y", "mi_ab_y",
+        "cmi_a_b_given_y", "cmi_a_c_given_y", "interaction_a_b_y",
+    )
+    rows = []
+    for li, lam in enumerate(lambdas):
         for rep in range(args.reps):
-            for name in ("naive", "merged"):
-                rows.append([rep, name, _tidy_value(result.estimates[name][rep])])
-        _write_tidy(args.output, ["replicate", "method", "agreement"], rows)
-        print("method,p25,p50,p75")
+            scores = analysis.simulate_multivariate(
+                lam, kind=args.mixture, n=args.n, seed=[args.seed, li, rep]
+            )
+            for name in score_names:
+                rows.append([rep, lam, name, _tidy_value(scores[name] / divisor)])
+    _write_tidy(args.output, ["replicate", "lambda", "score", "value"], rows)
+    return 0
+
+
+def _cmd_simulate_integration(args) -> int:
+    if args.input is not None:
+        table = tableio.read_table(args.input)
+    else:
+        table = analysis.make_correlated_table(seed=args.seed, decision=args.decision)
+    result = analysis.simulate_integration(
+        table, args.decision, scale=args.scale, reps=args.reps, seed=args.seed
+    )
+    rows = []
+    for rep in range(args.reps):
         for name in ("naive", "merged"):
-            bands = result.percentiles[name]
-            print(name + "," + ",".join(_tidy_value(bands[q]) for q in (25, 50, 75)))
-        return 0
-    raise DomainError(f"unknown simulation kind {args.kind!r}")
+            rows.append([rep, name, _tidy_value(result.estimates[name][rep])])
+    _write_tidy(args.output, ["replicate", "method", "agreement"], rows)
+    print("method,p25,p50,p75")
+    for name in ("naive", "merged"):
+        bands = result.percentiles[name]
+        print(name + "," + ",".join(_tidy_value(bands[q]) for q in (25, 50, 75)))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    units = argparse.ArgumentParser(add_help=False)
+    units.add_argument(
         "--log-base", choices=("e", "2"), default="e",
         help="unit of reported information: e for nats (default), 2 for bits",
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="root seed for randomized commands"
-    )
+    replicated = argparse.ArgumentParser(add_help=False)
+    replicated.add_argument("output", help="tidy replicate table to write")
+    replicated.add_argument("--reps", type=int, default=100, help="number of replicates")
+    replicated.add_argument("--seed", type=int, default=0, help="seed of the replicate streams")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[replicated, units])
+    sampled.add_argument("--n", type=int, default=100, help="sample size per replicate")
 
     parser = argparse.ArgumentParser(
         prog="kendalltrans",
         description="Pair-relation encoding of ordinal tables and its toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations, so that e.g. --r cannot stand for --reps
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
-    p = sub.add_parser(
-        "transform", parents=[common],
-        help="encode a data table into per-pair relation states",
-    )
+    p = sub.add_parser("transform", help="encode a data table into per-pair relation states")
     p.add_argument("input", help="delimited table, header plus one row per object")
     p.add_argument("output", help="encoded table to write")
     p.add_argument(
@@ -223,10 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser(
-        "inverse", parents=[common],
-        help="recover per-object ranks from an encoded table",
-    )
+    p = sub.add_parser("inverse", help="recover per-object ranks from an encoded table")
     p.add_argument("input", help="encoded table (or weight table with --weighted)")
     p.add_argument("output", help="rank table to write")
     p.add_argument(
@@ -236,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inverse)
 
     p = sub.add_parser(
-        "score", parents=[common],
+        "score", parents=[units],
         help="rank features by mutual information with a decision column",
     )
     p.add_argument("input", help="delimited data table")
@@ -251,35 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser(
-        "merge", parents=[common],
-        help="fuse encoded batches; cross-batch pairs become NA",
-    )
+    p = sub.add_parser("merge", help="fuse encoded batches; cross-batch pairs become NA")
     p.add_argument("inputs", nargs="+", help="encoded tables with one feature set")
     p.add_argument("output", help="merged encoded table to write")
     p.set_defaults(func=_cmd_merge)
 
-    p = sub.add_parser(
-        "simulate", parents=[common],
-        help="run a seeded simulation and write a tidy replicate table",
-    )
-    p.add_argument("kind", choices=("bivariate", "multivariate", "integration"))
-    p.add_argument("output", help="tidy replicate table to write")
-    p.add_argument("--r", type=float, default=0.9, help="bivariate: correlation")
-    p.add_argument("--n", type=int, default=100, help="sample size per replicate")
-    p.add_argument("--reps", type=int, default=100, help="number of replicates")
+    p = sub.add_parser("simulate", help="run a seeded simulation and write a tidy replicate table")
+    kinds = p.add_subparsers(dest="kind", required=True, parser_class=strict)
+
+    p = kinds.add_parser("bivariate", parents=[sampled], help="MI of correlated normal pairs")
+    p.add_argument("--r", type=float, default=0.9, help="correlation")
+    p.set_defaults(func=_cmd_simulate_bivariate)
+
+    p = kinds.add_parser("multivariate", parents=[sampled], help="scores of a mixed decision")
+    p.add_argument("--lambdas", default="0,0.25,0.5,0.75,1", help="comma-separated mixing weights")
     p.add_argument(
-        "--lambdas", default="0,0.25,0.5,0.75,1",
-        help="multivariate: comma-separated mixing weights",
+        "--mixture", choices=("linear", "max"), default="linear", help="decision construction"
     )
-    p.add_argument(
-        "--mixture", choices=("linear", "max"), default="linear",
-        help="multivariate: decision construction",
-    )
-    p.add_argument("--input", default=None, help="integration: data table (default: synthetic)")
-    p.add_argument("--decision", default="y", help="integration: decision column name")
-    p.add_argument("--scale", type=float, default=3.0, help="integration: rescale factor")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate_multivariate)
+
+    p = kinds.add_parser("integration", parents=[replicated], help="agreement after rescaling")
+    p.add_argument("--input", default=None, help="data table (default: synthetic)")
+    p.add_argument("--decision", default="y", help="decision column name")
+    p.add_argument("--scale", type=float, default=3.0, help="rescale factor")
+    p.set_defaults(func=_cmd_simulate_integration)
 
     return parser
 

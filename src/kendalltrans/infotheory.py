@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .transform import KendallSequence, Symbol, _as_ordinal
+from .transform import KendallSequence, Symbol, _as_ordinal, _label_codes
 
 __all__ = [
     "TauValue",
@@ -79,14 +79,7 @@ def _as_codes(seq) -> np.ndarray:
         return np.where(arr < 0, -1, arr)
     if arr.dtype.kind in "US":
         return np.unique(arr, return_inverse=True)[1]
-    # object path: hashable labels, None/NaN missing
-    out = np.full(arr.size, -1, dtype=np.int64)
-    labels: dict = {}
-    for i, v in enumerate(arr):
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            continue
-        out[i] = labels.setdefault(v, len(labels))
-    return out
+    return _label_codes(arr)[0]
 
 
 def _relabel(codes: np.ndarray) -> np.ndarray:
@@ -223,7 +216,7 @@ class TauValue:
 
 
 def _count_pairs_brute(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
-    """Direct O(n^2) ordered-pair counter."""
+    """Direct O(n^2) ordered-pair counter, the reference for the merge-sort one."""
     if xs.size < 2:
         return 0, 0
     gx, lx = xs[:, None] > xs[None, :], xs[:, None] < xs[None, :]
@@ -279,13 +272,12 @@ def _count_pairs_mergesort(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
     return 2 * concordant_u, 2 * discordant_u
 
 
-def kendall_tau(x, y, method: str = "mergesort") -> TauValue:
+def kendall_tau(x, y) -> TauValue:
     """Concordance statistic over all m = n*(n-1) ordered pairs.
 
     Pairs tied in either variable, or touching a missing value, enter
     neither the concordant nor the discordant count but stay in the m
-    denominator.  `method` selects the counting kernel, "mergesort"
-    (O(n log n)) or "brute" (O(n^2)); both return identical counts.
+    denominator.  The counts take O(n log n).
     """
     xv = _as_ordinal(x)
     yv = _as_ordinal(y)
@@ -296,12 +288,7 @@ def kendall_tau(x, y, method: str = "mergesort") -> TauValue:
         raise DomainError(f"need at least 2 observations, got {n}")
     keep = ~(np.isnan(xv) | np.isnan(yv))
     xs, ys = xv[keep], yv[keep]
-    if method == "mergesort":
-        c, d = _count_pairs_mergesort(xs, ys)
-    elif method == "brute":
-        c, d = _count_pairs_brute(xs, ys)
-    else:
-        raise DomainError(f"unknown counting method {method!r}")
+    c, d = _count_pairs_mergesort(xs, ys)
     m = n * (n - 1)
     return TauValue(tau=(c - d) / m, concordant=c, discordant=d, m=m)
 

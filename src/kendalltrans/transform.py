@@ -234,6 +234,17 @@ def transform_system(table: Mapping[str, Sequence]) -> dict[str, KendallSequence
     return out
 
 
+def _label_codes(values) -> tuple[np.ndarray, list]:
+    """First-seen codes 0..k-1 of hashable labels (-1 for None or NaN), and the labels."""
+    codes = np.full(len(values), -1, dtype=np.int64)
+    labels: dict = {}
+    for i, v in enumerate(values):
+        if v is None or (isinstance(v, float) and np.isnan(v)):
+            continue
+        codes[i] = labels.setdefault(v, len(labels))
+    return codes, list(labels)
+
+
 def expand_categorical(values) -> dict[str, np.ndarray]:
     """One 0/1 indicator vector per category, keyed by category label.
 
@@ -241,12 +252,7 @@ def expand_categorical(values) -> dict[str, np.ndarray]:
     single indicator (the second column would be redundant).  Missing
     entries (None or NaN) stay NaN in every indicator.
     """
-    seq = list(np.asarray(values, dtype=object))
-    missing = [v is None or (isinstance(v, float) and np.isnan(v)) for v in seq]
-    categories: list = []
-    for v, miss in zip(seq, missing):
-        if not miss and v not in categories:
-            categories.append(v)
+    codes, categories = _label_codes(np.asarray(values, dtype=object))
     if len(categories) < 2:
         raise DomainError(
             f"need at least 2 categories to carry information, got {len(categories)}"
@@ -254,10 +260,9 @@ def expand_categorical(values) -> dict[str, np.ndarray]:
     if len(categories) == 2:
         categories = categories[:1]
     out: dict[str, np.ndarray] = {}
-    for cat in categories:
-        ind = np.array(
-            [np.nan if miss else float(v == cat) for v, miss in zip(seq, missing)]
-        )
+    for j, cat in enumerate(categories):
+        ind = (codes == j).astype(float)
+        ind[codes < 0] = np.nan
         out[str(cat)] = ind
     return out
 
@@ -277,6 +282,8 @@ def jitter_ties(values, seed, scale: float) -> np.ndarray:
     dup = vals[counts > 1]
     if dup.size == 0:
         return x
+    if np.isinf(dup).any():  # noise leaves an infinity infinite, so redraws cannot help
+        raise DomainError(f"jitter cannot separate the tied infinite value {dup[np.isinf(dup)][0]}")
     mask = finite & np.isin(x, dup)
     rng = np.random.default_rng(seed)
     for _ in range(100):

@@ -211,7 +211,7 @@ class TestRankFeatures:
         noisy = y + 0.4 * rng.normal(size=40)
         table = {"mono": feat_out, "noisy": noisy, "y": y}
         kend = rank_features(table, "y", method="kendall")
-        width = rank_features(table, "y", method="width", bins=3)
+        width = rank_features(table, "y", method="width:3")
         assert kend.method == "kendall"
         assert width.method == "width:3"
         assert kend.names[0] == "mono"
@@ -227,20 +227,28 @@ class TestRankFeatures:
             rank_features({"f": y, "y": np.ones(6)}, "y")
         with pytest.raises(DomainError):
             rank_features({"f": y[:5], "y": y}, "y")
-        with pytest.raises(DomainError):
-            rank_features({"f": y, "y": y}, "y", method="magic")
+        for method in ("magic", "width", "kendall:3"):
+            with pytest.raises(DomainError, match="unknown method"):
+                rank_features({"f": y, "y": y}, "y", method=method)
+        with pytest.raises(DomainError, match="bad bin count"):
+            rank_features({"f": y, "y": y}, "y", method="freq:x")
         words = np.array(["a", "b", "c", "d", "e", "f"], dtype=object)
-        for method in ("kendall", "width"):
+        for method in ("kendall", "width:3"):
             with pytest.raises(DomainError, match="'w'"):
                 rank_features({"w": words, "y": y}, "y", method=method)
 
     def test_degenerate_decision_rejected_in_binned_methods(self):
         y = np.arange(6.0)
         with pytest.raises(DomainError):
-            rank_features({"f": y, "y": np.ones(6)}, "y", method="width")
+            rank_features({"f": y, "y": np.ones(6)}, "y", method="width:3")
         constant_labels = np.array(["same"] * 6, dtype=object)
         with pytest.raises(DomainError):
-            rank_features({"f": y, "y": constant_labels}, "y", method="freq")
+            rank_features({"f": y, "y": constant_labels}, "y", method="freq:3")
+        # one label once the missing entry is dropped
+        gapped = np.array(["a", "a", np.nan, "a", "a", "a"], dtype=object)
+        for method in ("width:3", "freq:3"):
+            with pytest.raises(DomainError, match="decision column is constant"):
+                rank_features({"f": y, "y": gapped}, "y", method=method)
 
 
 class TestJaccardMax:

@@ -81,6 +81,15 @@ class TestTransformCommand:
         assert main(["transform", "--jitter", "1:1e-300", str(src), str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_jitter_names_tied_infinity_before_drawing(self, tmp_path, capsys):
+        src = tmp_path / "inf.csv"
+        write_csv(src, ["x"], [["inf"], ["inf"], [1.0]])
+        out = tmp_path / "enc.csv"
+        assert main(["transform", "--jitter", "1:0.5", str(src), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: jitter cannot separate the tied infinite value inf\n"
+        assert not out.exists()
+
     def test_indicator_name_clash_rejected(self, tmp_path, capsys):
         out = tmp_path / "enc.csv"
         clashes = {
@@ -308,6 +317,13 @@ class TestSimulateCommand:
         assert lines[0] == "replicate,lambda,score,value"
         assert len(lines) == 1 + 2 * 2 * 6
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_multivariate_needs_a_replicate(self, tmp_path, capsys, reps):
+        out = tmp_path / "multi.csv"
+        assert main(["simulate", "multivariate", str(out), "--reps", reps]) == 1
+        assert capsys.readouterr().err == f"error: need at least 1 replicate, got {reps}\n"
+        assert not out.exists()
+
     def test_integration_synthetic_default(self, tmp_path, capsys):
         out = tmp_path / "integ.csv"
         assert main([
@@ -469,3 +485,32 @@ class TestFileFormats:
         assert main(["transform", str(src), str(tmp_path / "enc.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {src}: row 3: field larger than field limit")
+
+
+# Every option that a command accepted at one time without reading it.
+IGNORED_FLAGS = [
+    *[("transform in.csv out.csv", flag) for flag in ("--seed 3", "--log-base 2")],
+    *[("inverse in.csv out.csv", flag) for flag in ("--seed 3", "--log-base 2")],
+    ("score in.csv --decision y", "--seed 3"),
+    *[("merge a.csv b.csv out.csv", flag) for flag in ("--seed 3", "--log-base 2")],
+    *[
+        ("simulate bivariate out.csv", flag)
+        for flag in ("--lambdas 0,1", "--mixture max", "--input in.csv", "--decision y", "--scale 3")
+    ],
+    *[
+        ("simulate multivariate out.csv", flag)
+        for flag in ("--r 0.5", "--input in.csv", "--decision y", "--scale 3")
+    ],
+    *[
+        ("simulate integration out.csv", flag)
+        for flag in ("--r 0.5", "--n 500", "--lambdas 0,1", "--mixture max", "--log-base 2")
+    ],
+]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS, ids=[f"{c} {f}" for c, f in IGNORED_FLAGS])
+def test_option_the_command_does_not_read_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([*command.split(), *flag.split()])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
