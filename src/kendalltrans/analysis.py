@@ -9,6 +9,7 @@ percentile bands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -25,7 +26,6 @@ from .infotheory import (
 )
 from .integrate import merge_transformed
 from .transform import (
-    KendallSequence,
     _as_ordinal,
     _average_ranks,
     _label_codes,
@@ -128,27 +128,29 @@ def _try_ordinal(values):
         return None
 
 
-def _decision_sequence(values):
-    """Pair-encode a numeric decision; code a categorical one by label pair.
+def _decision_sequence(values, binner=None):
+    """The one encoding of a decision column: pair states, bins or label codes.
 
-    With K categories numbered in first-seen order, the pair (a, b) gets
-    K*cat[b] + cat[a] when the labels differ, K*K when they agree and -1
-    when either is missing.  That is the partition of pairs that joining
+    A numeric decision is pair-encoded, or binned by `binner` when given.
+    A categorical one is numbered in first-seen order; with a binner those
+    codes are the sequence.  Without one, the pair (a, b) of K categories
+    gets K*cat[b] + cat[a] when the labels differ, K*K when they agree and
+    -1 when either is missing.  That is the partition of pairs that joining
     the K indicator encodings gives, at O(m) for any K; the code order
-    makes two categories count exactly like their single indicator.  Codes
-    take the smallest signed integer type that holds K*K.
+    makes two categories count exactly like their single indicator.  Pair
+    codes take the smallest signed integer type that holds K*K.
     """
     x = _try_ordinal(values)
     if x is not None:
         if np.unique(x[~np.isnan(x)]).size < 2:
             raise DomainError("decision column is constant")
-        return kendall_transform(x)
+        return (binner or kendall_transform)(x)
     cat, labels = _label_codes(np.asarray(values, dtype=object))
     k = len(labels)
     if k < 2:
-        raise DomainError(
-            f"need at least 2 categories to carry information, got {k}"
-        )
+        raise DomainError("decision column is constant")
+    if binner is not None:
+        return cat
     dtype = np.min_scalar_type(-k * k - 1)
     cat = cat.astype(dtype)
     ca, cb = cat[:, None], cat[None, :]
@@ -186,10 +188,10 @@ def rank_features(
     equal-width or equal-frequency bins instead; a categorical decision is
     then used as-is.
     """
+    binner = None
     if method != "kendall":
         prefix, colon, count = method.partition(":")
-        binner = _BINNERS.get(prefix) if colon else None
-        if binner is None:
+        if not colon or prefix not in _BINNERS:
             raise DomainError(
                 f"unknown method {method!r} (expected kendall, width:<k> or freq:<k>)"
             )
@@ -197,6 +199,8 @@ def rank_features(
             bins = int(count)
         except ValueError:
             raise DomainError(f"bad bin count in method {method!r}") from None
+        binner = functools.partial(_BINNERS[prefix], k=bins)
+        method = f"{prefix}:{bins}"
     if decision not in table:
         raise DomainError(f"decision column {decision!r} not in table")
     features = {name: v for name, v in table.items() if name != decision}
@@ -209,19 +213,10 @@ def rank_features(
         if _try_ordinal(v) is None:
             raise DomainError(f"feature column {name!r} is not numeric")
 
-    if method == "kendall":
-        dec_seq = _decision_sequence(table[decision])
-        seqs = {name: kendall_transform(v) for name, v in features.items()}
-        return _ranking_from_sequences(seqs, dec_seq, "kendall")
-    dec_num = _try_ordinal(table[decision])
-    if dec_num is not None:
-        dec_cat = binner(dec_num, bins)
-    else:  # categorical labels pass through as codes
-        dec_cat, labels = _label_codes(np.asarray(table[decision], dtype=object))
-        if len(labels) < 2:
-            raise DomainError("decision column is constant")
-    seqs = {name: binner(v, bins) for name, v in features.items()}
-    return _ranking_from_sequences(seqs, dec_cat, f"{prefix}:{bins}")
+    dec_seq = _decision_sequence(table[decision], binner)
+    encode = binner or kendall_transform  # looked up per call, so tracers see it
+    seqs = {name: encode(v) for name, v in features.items()}
+    return _ranking_from_sequences(seqs, dec_seq, method)
 
 
 def jaccard_max(ranking: FeatureRanking, reference) -> float:
@@ -378,28 +373,29 @@ def split_merge_rankings(
     """
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    n = len(np.asarray(table[decision]))
+    y = np.asarray(table[decision])
+    n = len(y)
     perm = rng.permutation(n)
     first, second = perm[: n // 2], perm[n // 2:]
 
-    naive_cols = {}
-    merged_seqs: dict[str, KendallSequence] = {}
+    scaled: dict[str, np.ndarray] = {}
     for name, values in table.items():
-        v = _as_ordinal(values).copy()
-        v1, v2 = v[first].copy(), v[second]
         if name != decision:
-            v1 *= scale
+            v = _try_ordinal(values)
+            if v is None:
+                raise DomainError(f"feature column {name!r} is not numeric")
             v[first] *= scale
-        naive_cols[name] = v
-        merged_seqs[name] = merge_transformed(
-            [kendall_transform(v1), kendall_transform(v2)]
-        )
-
-    naive = rank_features(naive_cols, decision, method="kendall")
+            scaled[name] = v
+    naive = rank_features({**scaled, decision: y}, decision, method="kendall")
+    # cross-half pairs of every merged feature are MISSING, so only
+    # within-half pairs count, and there the decision in split order has
+    # the states of its per-half encodings
+    merged_seqs = {
+        name: merge_transformed([kendall_transform(v[first]), kendall_transform(v[second])])
+        for name, v in scaled.items()
+    }
     merged = _ranking_from_sequences(
-        {k: s for k, s in merged_seqs.items() if k != decision},
-        merged_seqs[decision],
-        "kendall-merged",
+        merged_seqs, _decision_sequence(y[perm]), "kendall-merged"
     )
     return naive, merged
 

@@ -52,7 +52,10 @@ def _cmd_transform(args) -> int:
             if jitter is not None:
                 # stream [seed, i], i the column's place in the encoded file
                 seed, scale = jitter
-                values = jitter_ties(values, [seed, len(columns)], scale)
+                try:
+                    values = jitter_ties(values, [seed, len(columns)], scale)
+                except DomainError as exc:
+                    raise DomainError(f"{args.input}: column {name!r}: {exc}") from None
             columns[name] = values
         elif args.expand_categorical:
             for cat, indicator in expand_categorical(values).items():

@@ -61,8 +61,8 @@ def _as_codes(seq) -> np.ndarray:
     """Non-negative integer states of a categorical sequence; -1 is missing.
 
     KendallSequence and integer codes pass through, Kendall codes as int8
-    and negative integers as -1; floats, strings and other labels are
-    numbered.
+    and negative integers as -1; floats are numbered in sorted order,
+    strings and other labels in first-seen order whatever their dtype.
     """
     if isinstance(seq, KendallSequence):
         codes = seq.codes.view(np.int8)
@@ -77,8 +77,6 @@ def _as_codes(seq) -> np.ndarray:
         return out
     if arr.dtype.kind in "iub":
         return np.where(arr < 0, -1, arr)
-    if arr.dtype.kind in "US":
-        return np.unique(arr, return_inverse=True)[1]
     return _label_codes(arr)[0]
 
 

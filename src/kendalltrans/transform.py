@@ -24,10 +24,6 @@ from .errors import DomainError
 #: Identifier of the pair ordering used by every sequence in this package.
 PAIR_SCHEME = "rowmajor-v1"
 
-#: Rows of the n x n state array compared at once by kendall_transform, so
-#: its boolean comparison masks stay at _ROW_BLOCK x n instead of n x n.
-_ROW_BLOCK = 256
-
 
 class Symbol(enum.IntEnum):
     """State of one ordered index pair (a, b)."""
@@ -203,13 +199,10 @@ def kendall_transform(values) -> KendallSequence:
     if n < 2:
         raise DomainError(f"need at least 2 observations to form pairs, got {n}")
     states = np.full((n, n), Symbol.TIE.value, dtype=np.uint8)
-    for lo in range(0, n, _ROW_BLOCK):
-        # row a of the block holds x[a] against every x[b]; inf vs inf and
-        # NaN compare false both ways, so they stay TIE until masked below
-        row = x[lo : lo + _ROW_BLOCK, None]
-        block = states[lo : lo + _ROW_BLOCK]
-        block[x[None, :] > row] = Symbol.ASC.value
-        block[x[None, :] < row] = Symbol.DESC.value
+    # row a holds x[a] against every x[b]; inf vs inf and NaN compare false
+    # both ways, so they stay TIE until masked below
+    states[x[None, :] > x[:, None]] = Symbol.ASC.value
+    states[x[None, :] < x[:, None]] = Symbol.DESC.value
     nan = np.isnan(x)
     states[nan] = Symbol.MISSING.value
     states[:, nan] = Symbol.MISSING.value

@@ -17,6 +17,7 @@ from kendalltrans import (
     kendall_transform,
     make_correlated_table,
     make_joint,
+    merge_transformed,
     mutual_information,
     rank_features,
     simulate_bivariate,
@@ -239,16 +240,13 @@ class TestRankFeatures:
 
     def test_degenerate_decision_rejected_in_binned_methods(self):
         y = np.arange(6.0)
-        with pytest.raises(DomainError):
-            rank_features({"f": y, "y": np.ones(6)}, "y", method="width:3")
         constant_labels = np.array(["same"] * 6, dtype=object)
-        with pytest.raises(DomainError):
-            rank_features({"f": y, "y": constant_labels}, "y", method="freq:3")
         # one label once the missing entry is dropped
         gapped = np.array(["a", "a", np.nan, "a", "a", "a"], dtype=object)
-        for method in ("width:3", "freq:3"):
-            with pytest.raises(DomainError, match="decision column is constant"):
-                rank_features({"f": y, "y": gapped}, "y", method=method)
+        for dec in (np.ones(6), np.full(6, np.nan), constant_labels, gapped):
+            for method in ("kendall", "width:3", "freq:3"):
+                with pytest.raises(DomainError, match="decision column is constant"):
+                    rank_features({"f": y, "y": dec}, "y", method=method)
 
 
 class TestJaccardMax:
@@ -355,6 +353,40 @@ class TestSimulateIntegration:
             rankings.append(merged)
         assert rankings[0] == rankings[1] == rankings[2]
 
+    def test_merged_ranking_equals_merging_the_decision_halves(self):
+        # oracle: encode the decision per half and merge it like a feature
+        for t in range(12):
+            rng = np.random.default_rng(t)
+            n = int(rng.integers(8, 30))
+            table = {}
+            for j in range(3):
+                v = rng.integers(0, 5, n) * rng.uniform(0.1, 3.0)
+                v[rng.random(n) < 0.15] = np.nan
+                table[f"f{j}"] = v
+            y = rng.integers(0, 3, n).astype(float)  # heavily tied
+            y[rng.random(n) < 0.2] = np.nan
+            y[:2] = 0.0, 2.0
+            table["y"] = y
+            scale = float(rng.uniform(0.1, 5.0))
+            _, merged = split_merge_rankings(table, "y", scale, _rng(t, 0))
+
+            perm = _rng(t, 0).permutation(n)
+            first, second = perm[: n // 2], perm[n // 2:]
+
+            def fused(v, s):
+                return merge_transformed(
+                    [kendall_transform(v[first] * s), kendall_transform(v[second])]
+                )
+
+            dec = fused(y, 1.0)
+            scores = [
+                (name, float(mutual_information(fused(table[name], scale), dec)))
+                for name in ("f0", "f1", "f2")
+            ]
+            expected = sorted(scores, key=lambda e: -e[1])
+            assert merged.entries == tuple(expected)
+            assert merged.method == "kendall-merged"
+
     def test_deterministic(self):
         table = make_correlated_table(16, 6, seed=2)
         a = simulate_integration(table, "y", scale=3.0, reps=4, seed=1)
@@ -368,6 +400,9 @@ class TestSimulateIntegration:
             simulate_integration(table, "y", scale=0.0)
         with pytest.raises(DomainError):
             simulate_integration(table, "y", reps=0)
+        words = np.array(list("abcdefghijklmnop"), dtype=object)
+        with pytest.raises(DomainError, match="feature column 'w' is not numeric"):
+            split_merge_rankings({**table, "w": words}, "y", 2.0, _rng(0))
 
 
 class TestMakeCorrelatedTable:

@@ -80,6 +80,14 @@ class TestTransformCommand:
         out = tmp_path / "enc.csv"
         assert main(["transform", "--jitter", "1:1e-300", str(src), str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        # with several numeric columns, the message names the one that failed
+        write_csv(src, ["a", "b"], [[1.0, 1e10], [2.0, 1e10], [3.0, 2.0]])
+        assert main(["transform", "--jitter", "1:1e-300", str(src), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: column 'b': "
+            "jitter scale 1e-300 failed to separate ties after 100 redraws\n"
+        )
+        assert not out.exists()
 
     def test_jitter_names_tied_infinity_before_drawing(self, tmp_path, capsys):
         src = tmp_path / "inf.csv"
@@ -87,7 +95,9 @@ class TestTransformCommand:
         out = tmp_path / "enc.csv"
         assert main(["transform", "--jitter", "1:0.5", str(src), str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: jitter cannot separate the tied infinite value inf\n"
+        assert err == (
+            f"error: {src}: column 'x': jitter cannot separate the tied infinite value inf\n"
+        )
         assert not out.exists()
 
     def test_indicator_name_clash_rejected(self, tmp_path, capsys):
@@ -335,6 +345,22 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 3 * 2
         summary = capsys.readouterr().out.splitlines()
         assert summary[0] == "method,p25,p50,p75"
+
+    def test_integration_takes_a_categorical_decision(self, tmp_path, capsys):
+        src = tmp_path / "labels.csv"
+        rng = np.random.default_rng(4)
+        f, g = rng.normal(size=(2, 20))
+        colors = np.array(["red", "blue", "green"])[np.digitize(f, [0.0, 1.0])]
+        rows = [[f"{a:.4f}", f"{b:.4f}", c] for a, b, c in zip(f, g, colors)]
+        rows[3][2] = ""  # a missing label
+        write_csv(src, ["f", "g", "y"], rows)
+        out = tmp_path / "integ.csv"
+        assert main([
+            "simulate", "integration", str(out),
+            "--input", str(src), "--reps", "3", "--seed", "1",
+        ]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 2
+        assert capsys.readouterr().out.splitlines()[0] == "method,p25,p50,p75"
 
 
 class TestFileFormats:

@@ -198,6 +198,19 @@ class TestMutualInformation:
             ly = [None if np.isnan(v) else v for v in y]
             assert abs(mutual_information(x, y) - oracle_mi(lx, ly)) < 1e-12
 
+    def test_string_labels_count_alike_in_any_dtype(self):
+        # numpy string and object arrays of the same labels get the same
+        # codes, so the MI does not move even in the last bit
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(10, 60))
+            x = rng.integers(0, 5, n).astype(float)
+            words = np.array(["pear", "fig", "apple", "kiwi"])[rng.integers(0, 4, n)]
+            for labels in (words, words.astype("S")):
+                assert mutual_information(x, labels) == mutual_information(
+                    x, labels.astype(object)
+                )
+
     def test_distinct_values_stay_linear_in_memory(self):
         rng = np.random.default_rng(17)
         x, y = rng.random(3000), rng.random(3000)

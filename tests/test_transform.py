@@ -117,7 +117,7 @@ class TestKendallTransform:
             if np.isnan(x).all():
                 continue
             assert symbols(kendall_transform(x)) == brute_transform(x)
-        # sizes straddling the encoder's row blocks, with infinities
+        # sizes around 256 and 512, with infinities
         for n in (255, 256, 257, 513):
             x = rng.integers(-6, 6, n) * 0.3
             x[rng.random(n) < 0.05] = np.nan
