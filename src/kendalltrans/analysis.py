@@ -28,6 +28,7 @@ from .integrate import merge_transformed
 from .transform import (
     _as_ordinal,
     _average_ranks,
+    _dense_ranks,
     _label_codes,
     _off_diagonal,
     kendall_transform,
@@ -55,44 +56,44 @@ PERCENTILE_LEVELS = (5, 25, 50, 75, 95)
 # discretisation baselines
 # ---------------------------------------------------------------------------
 
-def bin_equal_width(values, k: int) -> np.ndarray:
-    """Labels 0..k-1 over k equal-width intervals spanning [min, max].
+def _bin_labels(values, k: int, inner_edges, side: str) -> np.ndarray:
+    """Labels 0..k-1 of the values against the k-1 edges `inner_edges(v)`; NaN stays -1.
 
-    Intervals are closed on the left, the last one on both sides; NaN stays
-    missing (-1).  Unlike the pair encoding, the labels are not invariant
-    under nonlinear increasing rescalings of the input.
+    Infinities count as the largest finite floats.  Edges of values above a
+    quarter of that come from the values divided by 4 and scaled back (an
+    exact power of two), so that max - min cannot overflow.
     """
     x = _as_ordinal(values)
     if k < 2:
         raise DomainError(f"need at least 2 bins, got {k}")
-    finite = ~np.isnan(x)
-    if not finite.any() or x[finite].min() == x[finite].max():
-        raise DomainError("equal-width binning needs at least 2 distinct values")
-    edges = np.linspace(x[finite].min(), x[finite].max(), k + 1)
-    labels = np.searchsorted(edges, x[finite], side="right") - 1
-    np.clip(labels, 0, k - 1, out=labels)
+    observed = ~np.isnan(x)
+    v = np.nan_to_num(x[observed])
     out = np.full(x.size, -1, dtype=np.int64)
-    out[finite] = labels
+    if v.size:
+        s = 4.0 if np.abs(v).max() > np.finfo(float).max / 4 else 1.0
+        out[observed] = np.searchsorted(s * inner_edges(v / s), v, side=side)
     return out
+
+
+def bin_equal_width(values, k: int) -> np.ndarray:
+    """Labels 0..k-1 over k equal-width intervals spanning [min, max].
+
+    Intervals are closed on the left, the last one on both sides, so a
+    constant column falls into the last bin; NaN stays missing (-1).
+    Unlike the pair encoding, the labels are not invariant under nonlinear
+    increasing rescalings of the input.
+    """
+    return _bin_labels(values, k, lambda v: np.linspace(v.min(), v.max(), k + 1)[1:-1], "right")
 
 
 def bin_equal_frequency(values, k: int) -> np.ndarray:
     """Labels 0..k-1 with edges at the i/k quantiles (linear interpolation).
 
     Values equal to an edge fall into the lower bin, so a tie block never
-    straddles an edge.  NaN stays missing (-1).
+    straddles an edge and a constant column falls into bin 0.  NaN stays
+    missing (-1).
     """
-    x = _as_ordinal(values)
-    if k < 2:
-        raise DomainError(f"need at least 2 bins, got {k}")
-    finite = ~np.isnan(x)
-    if not finite.any() or x[finite].min() == x[finite].max():
-        raise DomainError("equal-frequency binning needs at least 2 distinct values")
-    edges = np.quantile(x[finite], np.arange(1, k) / k)
-    labels = np.searchsorted(edges, x[finite], side="left")
-    out = np.full(x.size, -1, dtype=np.int64)
-    out[finite] = labels
-    return out
+    return _bin_labels(values, k, lambda v: np.quantile(v, np.arange(1, k) / k), "left")
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +122,9 @@ class FeatureRanking:
 
 def _try_ordinal(values):
     """Float view of a column, or None if it is categorical."""
-    arr = np.asarray(values)
     try:
-        return _as_ordinal(arr.astype(float))
-    except (ValueError, TypeError):
+        return _as_ordinal(values)
+    except DomainError:
         return None
 
 
@@ -142,7 +142,7 @@ def _decision_sequence(values, binner=None):
     """
     x = _try_ordinal(values)
     if x is not None:
-        if np.unique(x[~np.isnan(x)]).size < 2:
+        if _dense_ranks(x).max(initial=-1) < 1:
             raise DomainError("decision column is constant")
         return (binner or kendall_transform)(x)
     cat, labels = _label_codes(np.asarray(values, dtype=object))
@@ -164,10 +164,12 @@ def _decision_sequence(values, binner=None):
 def _ranking_from_sequences(
     feature_seqs: Mapping[str, object], decision_seq, method: str
 ) -> FeatureRanking:
-    scored = [
-        (name, float(mutual_information(seq, decision_seq)))
-        for name, seq in feature_seqs.items()
-    ]
+    scored = []
+    for name, seq in feature_seqs.items():
+        try:
+            scored.append((name, float(mutual_information(seq, decision_seq))))
+        except DomainError as exc:
+            raise DomainError(f"feature column {name!r}: {exc}") from None
     order = sorted(range(len(scored)), key=lambda i: -scored[i][1])
     return FeatureRanking(entries=tuple(scored[i] for i in order), method=method)
 
@@ -246,9 +248,9 @@ def spearman_rho(x, y) -> float:
     xs, ys = xv[keep], yv[keep]
     if xs.size < 2:
         raise DomainError("need at least 2 complete observations")
-    if np.unique(xs).size < 2 or np.unique(ys).size < 2:
-        raise DomainError("rank correlation of a constant vector is undefined")
     rx, ry = _average_ranks(xs), _average_ranks(ys)
+    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
+        raise DomainError("rank correlation of a constant vector is undefined")
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -384,6 +386,7 @@ def split_merge_rankings(
             v = _try_ordinal(values)
             if v is None:
                 raise DomainError(f"feature column {name!r} is not numeric")
+            v = v.copy()  # the caller's column may be this very array
             v[first] *= scale
             scaled[name] = v
     naive = rank_features({**scaled, decision: y}, decision, method="kendall")

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .transform import KendallSequence, Symbol, _as_ordinal, _label_codes
+from .transform import KendallSequence, Symbol, _as_ordinal, _dense_ranks, _label_codes
 
 __all__ = [
     "TauValue",
@@ -70,11 +70,7 @@ def _as_codes(seq) -> np.ndarray:
         return codes
     arr = _seq_array(seq)
     if arr.dtype.kind == "f":
-        out = np.full(arr.size, -1, dtype=np.int64)
-        ok = ~np.isnan(arr)
-        if ok.any():
-            _, out[ok] = np.unique(arr[ok], return_inverse=True)
-        return out
+        return _dense_ranks(arr)
     if arr.dtype.kind in "iub":
         return np.where(arr < 0, -1, arr)
     return _label_codes(arr)[0]
@@ -240,15 +236,10 @@ def _inversions(a: np.ndarray) -> int:
     return inv
 
 
-def _run_pair_sum(sorted_flat: np.ndarray) -> int:
-    """Sum of t*(t-1)/2 over runs of equal values in a sorted array."""
-    if sorted_flat.size == 0:
-        return 0
-    change = np.flatnonzero(np.diff(sorted_flat) != 0)
-    starts = np.concatenate([[0], change + 1])
-    ends = np.concatenate([change + 1, [sorted_flat.size]])
-    t = ends - starts
-    return int((t * (t - 1) // 2).sum())
+def _tied_pairs(codes: np.ndarray) -> int:
+    """Unordered pairs that share a code: the sum of c*(c-1)/2 over code counts."""
+    c = np.bincount(codes)
+    return int((c * (c - 1) // 2).sum())
 
 
 def _count_pairs_mergesort(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
@@ -256,17 +247,11 @@ def _count_pairs_mergesort(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
     nc = xs.size
     if nc < 2:
         return 0, 0
-    order = np.lexsort((ys, xs))
-    xsort, ysort = xs[order], ys[order]
+    rx, ry = _dense_ranks(xs), _dense_ranks(ys)
+    ties = _tied_pairs(rx) + _tied_pairs(ry) - _tied_pairs(_radix([rx, ry]))
     # sorted by x then y, so tied-x pairs never count as inversions
-    discordant_u = _inversions(ysort)
-    n0 = nc * (nc - 1) // 2
-    ties_x = _run_pair_sum(xsort)
-    ties_y = _run_pair_sum(np.sort(ys))
-    both = (np.diff(xsort) != 0) | (np.diff(ysort) != 0)
-    ties_xy = _run_pair_sum(np.cumsum(np.concatenate([[1], both])))
-    untied = n0 - ties_x - ties_y + ties_xy
-    concordant_u = untied - discordant_u
+    discordant_u = _inversions(ry[np.lexsort((ry, rx))])
+    concordant_u = nc * (nc - 1) // 2 - ties - discordant_u
     return 2 * concordant_u, 2 * discordant_u
 
 
@@ -338,23 +323,28 @@ def auroc(x, y, positive=None) -> AurocResult:
     """Fraction of (positive, negative) pairs whose positive x is larger.
 
     `y` must carry exactly two classes; `positive` picks which one is
-    scored (default: the larger label).  Positions with missing x or y are
-    dropped.  u_stat = positives*negatives*(1 - auc) counts the
-    non-exceeding pairs.
+    scored (default: the larger label; labels without an order need it).
+    Positions with missing x or y are dropped.  u_stat =
+    positives*negatives*(1 - auc) counts the non-exceeding pairs.
     """
     xv = _as_ordinal(x)
-    yarr = np.asarray(y)
+    yarr = _seq_array(y)
     if xv.size != yarr.size:
         raise DomainError(f"length mismatch: {xv.size} vs {yarr.size}")
     ycodes = _as_codes(yarr)
     keep = ~np.isnan(xv) & (ycodes >= 0)
-    xs = xv[keep]
-    ys = yarr[keep]
-    classes = np.unique(ys).tolist()
+    xs, ys = xv[keep], yarr[keep]
+    _, first = np.unique(ycodes[keep], return_index=True)
+    classes = ys[first].tolist()
     if len(classes) != 2:
         raise DomainError(f"need exactly two classes, got {len(classes)}")
     if positive is None:
-        positive = classes[-1]
+        try:
+            positive = max(classes)
+        except TypeError:
+            raise DomainError(
+                f"classes {classes[0]!r} and {classes[1]!r} have no order; pass positive="
+            ) from None
     elif positive not in classes:
         raise DomainError(f"positive label {positive!r} not present")
     pos_mask = ys == positive

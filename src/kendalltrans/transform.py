@@ -45,10 +45,22 @@ _FLIP = np.array([1, 0, 2, 3], dtype=np.uint8)
 
 def _as_ordinal(values) -> np.ndarray:
     """Coerce to a 1-D float vector; NaN is the missing marker."""
-    x = np.asarray(values, dtype=float)
+    try:
+        x = np.asarray(values, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"expected numeric values: {exc}") from None
     if x.ndim != 1:
         raise DomainError(f"expected a 1-D vector, got shape {x.shape}")
     return x
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """int64 codes 0..k-1 of the distinct values of a float vector, ascending, -1 for NaN;
+    equal values, +-inf and +-0.0 included, share a code."""
+    out = np.full(values.size, -1, dtype=np.int64)
+    ok = ~np.isnan(values)
+    _, out[ok] = np.unique(values[ok], return_inverse=True)
+    return out
 
 
 def _off_diagonal(sq: np.ndarray) -> np.ndarray:
@@ -270,19 +282,18 @@ def jitter_ties(values, seed, scale: float) -> np.ndarray:
     if not scale > 0:
         raise DomainError(f"jitter scale must be positive, got {scale}")
     x = _as_ordinal(values).copy()
-    finite = ~np.isnan(x)
-    vals, counts = np.unique(x[finite], return_counts=True)
-    dup = vals[counts > 1]
-    if dup.size == 0:
+    codes = _dense_ranks(x) + 1  # 0 marks NaN
+    mask = (codes > 0) & (np.bincount(codes)[codes] > 1)
+    if not mask.any():
         return x
-    if np.isinf(dup).any():  # noise leaves an infinity infinite, so redraws cannot help
-        raise DomainError(f"jitter cannot separate the tied infinite value {dup[np.isinf(dup)][0]}")
-    mask = finite & np.isin(x, dup)
+    tied_inf = x[mask & np.isinf(x)]
+    if tied_inf.size:  # noise leaves an infinity infinite, so redraws cannot help
+        raise DomainError(f"jitter cannot separate the tied infinite value {tied_inf.min()}")
     rng = np.random.default_rng(seed)
     for _ in range(100):
         candidate = x.copy()
         candidate[mask] += rng.uniform(-scale / 2, scale / 2, int(mask.sum()))
-        if np.unique(candidate[finite]).size == int(finite.sum()):
+        if _dense_ranks(candidate).max() + 1 == np.count_nonzero(codes):
             return candidate
     raise DomainError(
         f"jitter scale {scale} failed to separate ties after 100 redraws"
@@ -310,17 +321,12 @@ class Ranking:
 def _average_ranks(values) -> np.ndarray:
     """Ranks 1..n of a NaN-free vector, ascending; equal values share their mean rank.
 
-    Each run of equal sorted values at positions start..end-1 gets
-    (start + end + 1) / 2, an exact half-integer.
+    The c equal values whose sorted places end at place e get
+    e - (c - 1) / 2, an exact half-integer.
     """
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ordered = v[order]
-    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    ends = np.append(starts[1:], v.size)
-    ranks = np.empty(v.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
-    return ranks
+    codes = _dense_ranks(np.asarray(values, dtype=float))
+    c = np.bincount(codes)
+    return (np.cumsum(c) - (c - 1) / 2)[codes]
 
 
 def _ranking_from_scores(score: np.ndarray) -> Ranking:

@@ -59,11 +59,24 @@ class TestEqualWidth:
         labels = bin_equal_width([0.0, np.nan, 1.0], 2)
         assert labels[1] == -1
 
-    def test_constant_rejected(self):
-        with pytest.raises(DomainError):
-            bin_equal_width([2.0, 2.0, 2.0], 3)
+    def test_constant_falls_into_last_bin(self):
+        np.testing.assert_array_equal(bin_equal_width([2.0, np.nan, 2.0], 3), [2, -1, 2])
+        np.testing.assert_array_equal(bin_equal_width([np.nan, np.nan], 3), [-1, -1])
         with pytest.raises(DomainError):
             bin_equal_width([1.0, 2.0], 1)
+
+    def test_infinite_and_huge_values_bin_without_warning(self):
+        # infinities count as the largest finite floats; max - min of the
+        # third input overflows float64
+        x = [1.0, 2.0, 3.0, np.inf, 5.0, -np.inf]
+        np.testing.assert_array_equal(bin_equal_width(x, 3), [1, 1, 1, 2, 1, 0])
+        np.testing.assert_array_equal(bin_equal_width([np.inf, np.inf], 2), [1, 1])
+        np.testing.assert_array_equal(bin_equal_width([1e308, -1e308, 0.0], 3), [2, 0, 1])
+        np.testing.assert_array_equal(bin_equal_frequency([1e308, -1e308, 0.0], 3), [2, 0, 1])
+        np.testing.assert_array_equal(
+            bin_equal_frequency([np.inf, 1.0, np.inf, 2.0, -np.inf, np.inf], 2),
+            [1, 0, 1, 0, 0, 1],
+        )
 
 
 class TestEqualFrequency:
@@ -83,9 +96,10 @@ class TestEqualFrequency:
         labels = bin_equal_frequency([1.0, 2.0, 2.0, 2.0, 3.0], 2)
         np.testing.assert_array_equal(labels, [0, 0, 0, 0, 1])
 
-    def test_constant_rejected(self):
+    def test_constant_falls_into_bin_zero(self):
+        np.testing.assert_array_equal(bin_equal_frequency([5.0, np.nan, 5.0], 2), [0, -1, 0])
         with pytest.raises(DomainError):
-            bin_equal_frequency([5.0, 5.0], 2)
+            bin_equal_frequency([1.0, 2.0], 1)
 
 
 class TestRankFeatures:
@@ -386,6 +400,13 @@ class TestSimulateIntegration:
             expected = sorted(scores, key=lambda e: -e[1])
             assert merged.entries == tuple(expected)
             assert merged.method == "kendall-merged"
+
+    def test_callers_table_comes_back_unchanged(self):
+        table = make_correlated_table(16, 6, seed=2)
+        before = {name: v.copy() for name, v in table.items()}
+        split_merge_rankings(table, "y", 3.0, _rng(0))
+        for name, v in table.items():
+            np.testing.assert_array_equal(v, before[name])
 
     def test_deterministic(self):
         table = make_correlated_table(16, 6, seed=2)

@@ -272,6 +272,26 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'word'" in err
 
+    def test_feature_observed_once_fails_naming_column(self, tmp_path, capsys):
+        src = tmp_path / "t.csv"
+        write_csv(src, ["a", "once", "y"], [[1.0, 5.0, 1.0], [2.0, "NA", 3.0], [3.0, "NA", 2.0]])
+        assert main(["score", str(src), "--decision", "y"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: feature column 'once': no jointly complete positions\n"
+
+    @pytest.mark.parametrize("method", ["width:3", "freq:3"])
+    def test_binned_constant_and_infinite_features_score(self, tmp_path, capsys, method):
+        src = tmp_path / "t.csv"
+        write_csv(
+            src,
+            ["flat", "wild", "y"],
+            [[2.0, "inf", 1.0], [2.0, 1.0, 3.0], [2.0, "-inf", 2.0], [2.0, 1e308, 4.0]],
+        )
+        assert main(["score", str(src), "--decision", "y", "--method", method]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "feature,score"
+        assert out[2] == "flat,0.0"
+
 
 class TestMergeCommand:
     def test_two_tiny_batches(self, tmp_path):

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from kendalltrans import (
@@ -332,6 +334,27 @@ class TestKendallTau:
             keep = ~(np.isnan(x) | np.isnan(y))
             assert _count_pairs_brute(x[keep], y[keep]) == want[:2]
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, np.nan]),
+                st.sampled_from([np.inf, -np.inf, 0.0, -0.0, 3.0, np.nan]),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_counts_equal_brute_with_infinities_and_signed_zeros(self, pairs):
+        # NaN compares false both ways, so the brute counter skips its pairs
+        x, y = np.array(pairs).T
+        tv = kendall_tau(x, y)
+        assert (tv.concordant, tv.discordant) == _count_pairs_brute(x, y)
+
+    def test_tied_infinities_count_as_ties(self):
+        tv = kendall_tau([np.inf, np.inf, 1.0], [1.0, 2.0, 3.0])
+        assert (tv.concordant, tv.discordant, tv.m) == (0, 4, 6)
+
     def test_tau_quantization_for_permutations(self):
         n = 4
         taus = {
@@ -431,6 +454,15 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(DomainError):
             auroc([1, 2, 3], [1, 1, 1])
+
+    def test_labels_are_coded_as_the_estimators_code_them(self):
+        # NaN is a missing label, and -1 in a list is a label, as in
+        # mutual_information
+        assert auroc([1, 2, 3, 4], ["a", np.nan, "b", "a"]) == (0.5, 1, 2, 1.0)
+        assert auroc([1, 2, 3, 4], [-1, 1, 1, -1]) == (0.5, 2, 2, 2.0)
+        with pytest.raises(DomainError, match="no order"):
+            auroc([1, 2, 3, 4], ["a", 1, "a", 1])
+        assert auroc([1, 2, 3, 4], ["a", 1, "a", 1], positive=1) == (0.75, 2, 2, 1.0)
 
     def test_u_is_brute_force_pair_count(self):
         rng = np.random.default_rng(14)

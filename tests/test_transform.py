@@ -14,17 +14,21 @@ from kendalltrans import (
     DomainError,
     KendallSequence,
     Symbol,
+    bin_equal_frequency,
+    bin_equal_width,
     copeland_inverse,
     expand_categorical,
     jitter_ties,
+    kendall_tau,
     kendall_transform,
     pair_at,
     pair_count,
     pair_index,
+    spearman_rho,
     transform_system,
     weighted_copeland,
 )
-from kendalltrans.transform import _average_ranks, _off_diagonal
+from kendalltrans.transform import _average_ranks, _dense_ranks, _off_diagonal
 
 A, D, T, M = Symbol.ASC, Symbol.DESC, Symbol.TIE, Symbol.MISSING
 
@@ -380,6 +384,32 @@ class TestAverageRanks:
             got = _average_ranks(v)
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, rankdata(v, method="average"))
+
+
+class TestDenseRanks:
+    def test_contract(self):
+        x = np.array([0.0, np.inf, -0.0, np.nan, -np.inf, 2.5, np.inf, -np.inf, 0.0])
+        codes = _dense_ranks(x)
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, [1, 3, 1, -1, 0, 2, 3, 0, 1])
+        np.testing.assert_array_equal(_dense_ranks(np.full(3, np.nan)), [-1, -1, -1])
+        assert _dense_ranks(np.empty(0)).size == 0
+
+
+def test_non_numeric_ordinal_input_is_a_domain_error():
+    words = ["a", "b", "c"]
+    calls = [
+        lambda: kendall_transform(words),
+        lambda: kendall_tau(words, [1, 2, 3]),
+        lambda: kendall_tau([1, 2, 3], [1, None, object()]),
+        lambda: spearman_rho([1, 2, 3], words),
+        lambda: jitter_ties(words, 0, 0.1),
+        lambda: bin_equal_width(words, 2),
+        lambda: bin_equal_frequency(words, 2),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="expected numeric values"):
+            call()
 
 
 class TestWeightedCopeland:
