@@ -161,6 +161,23 @@ def _decision_sequence(values, binner=None):
     return _off_diagonal(codes).reshape(-1)
 
 
+def _features(table: Mapping[str, Sequence], decision: str) -> dict[str, np.ndarray]:
+    """The float feature columns of a table, checked against its decision column."""
+    if decision not in table:
+        raise DomainError(f"decision column {decision!r} not in table")
+    features = {name: v for name, v in table.items() if name != decision}
+    if not features:
+        raise DomainError("no feature columns besides the decision")
+    n = len(np.asarray(table[decision]))
+    for name, v in features.items():
+        if len(np.asarray(v)) != n:
+            raise DomainError(f"column {name!r} has length {len(np.asarray(v))}, expected {n}")
+        features[name] = _try_ordinal(v)
+        if features[name] is None:
+            raise DomainError(f"feature column {name!r} is not numeric")
+    return features
+
+
 def _ranking_from_sequences(
     feature_seqs: Mapping[str, object], decision_seq, method: str
 ) -> FeatureRanking:
@@ -203,18 +220,7 @@ def rank_features(
             raise DomainError(f"bad bin count in method {method!r}") from None
         binner = functools.partial(_BINNERS[prefix], k=bins)
         method = f"{prefix}:{bins}"
-    if decision not in table:
-        raise DomainError(f"decision column {decision!r} not in table")
-    features = {name: v for name, v in table.items() if name != decision}
-    if not features:
-        raise DomainError("no feature columns besides the decision")
-    n = len(np.asarray(table[decision]))
-    for name, v in features.items():
-        if len(np.asarray(v)) != n:
-            raise DomainError(f"column {name!r} has length {len(np.asarray(v))}, expected {n}")
-        if _try_ordinal(v) is None:
-            raise DomainError(f"feature column {name!r} is not numeric")
-
+    features = _features(table, decision)
     dec_seq = _decision_sequence(table[decision], binner)
     encode = binner or kendall_transform  # looked up per call, so tracers see it
     seqs = {name: encode(v) for name, v in features.items()}
@@ -286,6 +292,15 @@ def _rng(seed, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=key))
 
 
+def _replicates(draw, reps: int, seed) -> dict[str, np.ndarray]:
+    """`draw(key)` once per replicate, key = [*seed, rep]; one array per named value."""
+    if reps < 1:
+        raise DomainError(f"need at least 1 replicate, got {reps}")
+    prefix = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    draws = [draw([*prefix, rep]) for rep in range(reps)]
+    return {name: np.array([d[name] for d in draws]) for name in draws[0]}
+
+
 def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     # inverse-CDF sampling keeps the draw count fixed per replicate
     from scipy.special import ndtri  # imported here to keep the package import light
@@ -305,26 +320,20 @@ def simulate_bivariate(r: float, n: int, reps: int = 100, seed: int = 0) -> SimR
         raise DomainError(f"correlation must lie in (-1, 1), got {r}")
     if n < 5:
         raise DomainError(f"need n >= 5, got {n}")
-    if reps < 1:
-        raise DomainError(f"need at least 1 replicate, got {reps}")
-    names = ("kendall", "width3", "width5", "gauss")
-    estimates = {name: np.empty(reps) for name in names}
     root = math.sqrt(1.0 - r * r)
-    for rep in range(reps):
-        rng = _rng(seed, rep)
-        z = _standard_normal(rng, (n, 2))
+
+    def draw(key):
+        z = _standard_normal(_rng(key), (n, 2))
         x = z[:, 0]
         y = r * z[:, 0] + root * z[:, 1]
-        kx, ky = kendall_transform(x), kendall_transform(y)
-        estimates["kendall"][rep] = mutual_information(kx, ky)
-        estimates["width3"][rep] = mutual_information(
-            bin_equal_width(x, 3), bin_equal_width(y, 3)
-        )
-        estimates["width5"][rep] = mutual_information(
-            bin_equal_width(x, 5), bin_equal_width(y, 5)
-        )
-        estimates["gauss"][rep] = mi_from_rho(float(np.corrcoef(x, y)[0, 1]))
-    return _summarize(estimates)
+        return {
+            "kendall": mutual_information(kendall_transform(x), kendall_transform(y)),
+            "width3": mutual_information(bin_equal_width(x, 3), bin_equal_width(y, 3)),
+            "width5": mutual_information(bin_equal_width(x, 5), bin_equal_width(y, 5)),
+            "gauss": mi_from_rho(float(np.corrcoef(x, y)[0, 1])),
+        }
+
+    return _summarize(_replicates(draw, reps, seed))
 
 
 def simulate_multivariate(
@@ -368,28 +377,25 @@ def split_merge_rankings(
     """One split-and-rescale perturbation, ranked two ways.
 
     The objects are split in half at random and every feature value in the
-    first half is multiplied by `scale` (the decision is left alone).  The
-    "naive" ranking re-encodes the fused perturbed columns; the "merged"
-    ranking encodes each half separately and fuses the encodings, leaving
-    cross-half pairs missing.
+    first half is multiplied by `scale`, which must be positive and finite
+    (the decision is left alone).  The "naive" ranking re-encodes the fused
+    perturbed columns; the "merged" ranking encodes each half separately
+    and fuses the encodings, leaving cross-half pairs missing.
     """
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale}")
+    features = _features(table, decision)
     y = np.asarray(table[decision])
     n = len(y)
     perm = rng.permutation(n)
     first, second = perm[: n // 2], perm[n // 2:]
-
-    scaled: dict[str, np.ndarray] = {}
-    for name, values in table.items():
-        if name != decision:
-            v = _try_ordinal(values)
-            if v is None:
-                raise DomainError(f"feature column {name!r} is not numeric")
-            v = v.copy()  # the caller's column may be this very array
-            v[first] *= scale
-            scaled[name] = v
-    naive = rank_features({**scaled, decision: y}, decision, method="kendall")
+    factor = np.ones(n)
+    factor[first] = scale
+    scaled = {name: v * factor for name, v in features.items()}
+    dec_seq = _decision_sequence(y)
+    naive = _ranking_from_sequences(
+        {name: kendall_transform(v) for name, v in scaled.items()}, dec_seq, "kendall"
+    )
     # cross-half pairs of every merged feature are MISSING, so only
     # within-half pairs count, and there the decision in split order has
     # the states of its per-half encodings
@@ -428,16 +434,16 @@ def simulate_integration(
     clean table via Spearman correlation of the per-feature scores.  Keys:
     "naive" and "merged".
     """
-    if reps < 1:
-        raise DomainError(f"need at least 1 replicate, got {reps}")
-    reference = rank_features(table, decision, method="kendall")
-    estimates = {"naive": np.empty(reps), "merged": np.empty(reps)}
-    for rep in range(reps):
-        rng = _rng(seed, rep)
-        naive, merged = split_merge_rankings(table, decision, scale, rng)
-        estimates["naive"][rep] = _ranking_agreement(naive, reference)
-        estimates["merged"][rep] = _ranking_agreement(merged, reference)
-    return _summarize(estimates)
+    reference = rank_features(table, decision)
+
+    def draw(key):
+        naive, merged = split_merge_rankings(table, decision, scale, _rng(key))
+        return {
+            "naive": _ranking_agreement(naive, reference),
+            "merged": _ranking_agreement(merged, reference),
+        }
+
+    return _summarize(_replicates(draw, reps, seed))
 
 
 def make_correlated_table(

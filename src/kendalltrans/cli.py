@@ -123,44 +123,45 @@ def _write_tidy(path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _tidy_value(v: float) -> str:
-    return repr(float(v))
+def _report(args, result, header: list[str], levels, divisor: float = 1.0) -> int:
+    """Write a result's replicates as a tidy table and print its bands at `levels`."""
+    rows = [
+        [rep, name, float(values[rep] / divisor)]
+        for rep in range(args.reps)
+        for name, values in result.estimates.items()
+    ]
+    _write_tidy(args.output, ["replicate", *header], rows)
+    print(",".join([header[0], *(f"p{q}" for q in levels)]))
+    for name, bands in result.percentiles.items():
+        print(name + "," + ",".join(str(bands[q] / divisor) for q in levels))
+    return 0
 
 
 def _cmd_simulate_bivariate(args) -> int:
-    divisor = math.log(_log_base(args))
     result = analysis.simulate_bivariate(args.r, args.n, args.reps, args.seed)
-    rows = []
-    for rep in range(args.reps):
-        for name in ("kendall", "width3", "width5", "gauss"):
-            rows.append([rep, name, _tidy_value(result.estimates[name][rep] / divisor)])
-    _write_tidy(args.output, ["replicate", "estimator", "value"], rows)
-    print("estimator,p5,p25,p50,p75,p95")
-    for name in ("kendall", "width3", "width5", "gauss"):
-        bands = result.percentiles[name]
-        print(name + "," + ",".join(_tidy_value(bands[q] / divisor) for q in (5, 25, 50, 75, 95)))
-    return 0
+    divisor = math.log(_log_base(args))
+    return _report(args, result, ["estimator", "value"], (5, 25, 50, 75, 95), divisor)
 
 
 def _cmd_simulate_multivariate(args) -> int:
     divisor = math.log(_log_base(args))
-    lambdas = [float(t) for t in args.lambdas.split(",") if t != ""]
+    lambdas = []
+    for t in filter(None, args.lambdas.split(",")):
+        try:
+            lambdas.append(float(t))
+        except ValueError:
+            raise DomainError(f"--lambdas: {t!r} is not a number") from None
     if not lambdas:
         raise DomainError("--lambdas needs at least one value")
-    if args.reps < 1:
-        raise DomainError(f"need at least 1 replicate, got {args.reps}")
-    score_names = (
-        "mi_a_y", "mi_b_y", "mi_ab_y",
-        "cmi_a_b_given_y", "cmi_a_c_given_y", "interaction_a_b_y",
-    )
     rows = []
     for li, lam in enumerate(lambdas):
+        scores = analysis._replicates(
+            functools.partial(analysis.simulate_multivariate, lam, args.mixture, args.n),
+            args.reps, [args.seed, li],
+        )
         for rep in range(args.reps):
-            scores = analysis.simulate_multivariate(
-                lam, kind=args.mixture, n=args.n, seed=[args.seed, li, rep]
-            )
-            for name in score_names:
-                rows.append([rep, lam, name, _tidy_value(scores[name] / divisor)])
+            for name, values in scores.items():
+                rows.append([rep, lam, name, float(values[rep] / divisor)])
     _write_tidy(args.output, ["replicate", "lambda", "score", "value"], rows)
     return 0
 
@@ -170,19 +171,8 @@ def _cmd_simulate_integration(args) -> int:
         table = tableio.read_table(args.input)
     else:
         table = analysis.make_correlated_table(seed=args.seed, decision=args.decision)
-    result = analysis.simulate_integration(
-        table, args.decision, scale=args.scale, reps=args.reps, seed=args.seed
-    )
-    rows = []
-    for rep in range(args.reps):
-        for name in ("naive", "merged"):
-            rows.append([rep, name, _tidy_value(result.estimates[name][rep])])
-    _write_tidy(args.output, ["replicate", "method", "agreement"], rows)
-    print("method,p25,p50,p75")
-    for name in ("naive", "merged"):
-        bands = result.percentiles[name]
-        print(name + "," + ",".join(_tidy_value(bands[q]) for q in (25, 50, 75)))
-    return 0
+    result = analysis.simulate_integration(table, args.decision, args.scale, args.reps, args.seed)
+    return _report(args, result, ["method", "agreement"], (25, 50, 75))
 
 
 def build_parser() -> argparse.ArgumentParser:

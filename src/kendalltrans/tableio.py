@@ -51,7 +51,7 @@ def _fmt(value) -> str:
 
 def _read_lines(path) -> list[str]:
     """Non-blank lines, less a leading ``#`` comment that is not metadata."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         lines = list(filter(None, fh.read().splitlines()))
     if lines and lines[0].startswith("#") and not lines[0].startswith(META_PREFIX):
         del lines[0]

@@ -228,7 +228,10 @@ def transform_system(table: Mapping[str, Sequence]) -> dict[str, KendallSequence
     out: dict[str, KendallSequence] = {}
     n = None
     for name, values in table.items():
-        x = _as_ordinal(values)
+        try:
+            x = _as_ordinal(values)
+        except DomainError as exc:
+            raise DomainError(f"column {name!r}: {exc}") from None
         if n is None:
             n = x.size
         elif x.size != n:

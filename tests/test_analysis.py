@@ -323,6 +323,13 @@ class TestSimulateBivariate:
             assert set(bands) == set(PERCENTILE_LEVELS)
             assert all(v in sample for v in bands.values())
 
+    def test_first_replicates_do_not_depend_on_the_count(self):
+        three = simulate_bivariate(0.6, 20, reps=3, seed=4)
+        five = simulate_bivariate(0.6, 20, reps=5, seed=4)
+        assert list(three.estimates) == list(five.estimates)
+        for key, values in three.estimates.items():
+            np.testing.assert_array_equal(values, five.estimates[key][:3])
+
     def test_domain(self):
         with pytest.raises(DomainError):
             simulate_bivariate(1.0, 30)
@@ -424,6 +431,23 @@ class TestSimulateIntegration:
         words = np.array(list("abcdefghijklmnop"), dtype=object)
         with pytest.raises(DomainError, match="feature column 'w' is not numeric"):
             split_merge_rankings({**table, "w": words}, "y", 2.0, _rng(0))
+
+    def test_short_feature_is_a_domain_error(self):
+        table = make_correlated_table(16, 6, seed=2)
+        table["f02"] = table["f02"][:-1]
+        with pytest.raises(DomainError, match="column 'f02' has length 15, expected 16"):
+            split_merge_rankings(table, "y", 2.0, _rng(0))
+
+    def test_unknown_decision_is_a_domain_error(self):
+        table = make_correlated_table(16, 6, seed=2)
+        with pytest.raises(DomainError, match="decision column 'z' not in table"):
+            split_merge_rankings(table, "z", 2.0, _rng(0))
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        table = make_correlated_table(16, 6, seed=2)
+        with pytest.raises(DomainError, match=f"positive and finite, got {scale}$"):
+            split_merge_rankings(table, "y", scale, _rng(0))
 
 
 class TestMakeCorrelatedTable:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from kendalltrans import DomainError, kendall_transform
+from kendalltrans import DomainError, kendall_transform, simulate_multivariate
 from kendalltrans.cli import main
 from kendalltrans import tableio
 
@@ -354,6 +354,38 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: need at least 1 replicate, got {reps}\n"
         assert not out.exists()
 
+    def test_multivariate_rows_follow_the_api_stream(self, tmp_path):
+        # stream [seed, lambda index, replicate], whatever the other lambdas
+        out = tmp_path / "multi.csv"
+        assert main([
+            "simulate", "multivariate", str(out), "--lambdas", "0.2,0.8",
+            "--n", "20", "--reps", "3", "--seed", "4", "--mixture", "max",
+        ]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        expected = [
+            [str(rep), str(lam), name, repr(float(value))]
+            for li, lam in enumerate((0.2, 0.8))
+            for rep in range(3)
+            for name, value in simulate_multivariate(lam, "max", 20, seed=[4, li, rep]).items()
+        ]
+        assert rows == expected
+
+    def test_multivariate_lambdas_error_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "multi.csv"
+        assert main(["simulate", "multivariate", str(out), "--lambdas", "0,x"]) == 1
+        assert capsys.readouterr().err == "error: --lambdas: 'x' is not a number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_integration_scale_must_be_positive_and_finite(self, tmp_path, capsys, scale):
+        out = tmp_path / "integ.csv"
+        argv = ["simulate", "integration", str(out), "--reps", "2", "--scale", scale]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: scale must be positive and finite, got {float(scale)}\n"
+        )
+        assert not out.exists()
+
     def test_integration_synthetic_default(self, tmp_path, capsys):
         out = tmp_path / "integ.csv"
         assert main([
@@ -390,6 +422,15 @@ class TestFileFormats:
         table = tableio.read_table(src)
         assert list(table) == ["a", "b"]
         np.testing.assert_array_equal(table["a"], [1.0, 3.0])
+
+    def test_utf8_byte_order_mark_does_not_rename_first_column(self, tmp_path, capsys):
+        src = tmp_path / "excel.csv"
+        src.write_bytes(b"\xef\xbb\xbfy,a\n1,2\n2,1\n3,5\n")
+        assert main(["score", str(src), "--decision", "y"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("a,")
+        enc = tmp_path / "enc.csv"
+        assert main(["transform", str(src), str(enc)]) == 0
+        assert enc.read_bytes().splitlines()[1] == b"y,a"
 
     def test_leading_comment_line_is_not_the_header(self, tmp_path):
         src = tmp_path / "commented.csv"

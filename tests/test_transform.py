@@ -251,6 +251,10 @@ class TestTransformSystem:
         with pytest.raises(DomainError, match="'b'"):
             transform_system({"a": [1, 2, 3], "b": [1, 2]})
 
+    def test_non_numeric_column_is_named(self):
+        with pytest.raises(DomainError, match="^column 'c': expected numeric values: "):
+            transform_system({"a": [1, 2, 3], "c": ["x", "y", "z"]})
+
 
 class TestExpandCategorical:
     def test_three_categories(self):
