@@ -289,6 +289,8 @@ def _rng(seed, *stream) -> np.random.Generator:
     """Philox generator keyed by (seed, stream...)."""
     key = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
     key.extend(int(s) for s in stream)
+    if min(key) < 0:
+        raise DomainError(f"seed must be non-negative, got {min(key)}")
     return np.random.Generator(np.random.Philox(seed=key))
 
 

@@ -34,9 +34,21 @@ def _parse_jitter(text: str) -> tuple[int, float]:
         raise DomainError(
             f"--jitter expects SEED:SCALE (e.g. 7:1e-6), got {text!r}"
         ) from None
-    if not scale > 0:  # checked here too: a table may have no numeric column
-        raise DomainError(f"jitter scale must be positive, got {scale}")
+    if seed < 0:
+        raise DomainError(f"--jitter seed must be non-negative, got {seed}")
+    if not 0 < scale < math.inf:  # checked here too: a table may have no numeric column
+        raise DomainError(f"jitter scale must be positive and finite, got {scale}")
     return seed, scale
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _log_base(args) -> float:
@@ -184,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     replicated = argparse.ArgumentParser(add_help=False)
     replicated.add_argument("output", help="tidy replicate table to write")
     replicated.add_argument("--reps", type=int, default=100, help="number of replicates")
-    replicated.add_argument("--seed", type=int, default=0, help="seed of the replicate streams")
+    replicated.add_argument("--seed", type=_seed, default=0, help="seed of the replicate streams")
     sampled = argparse.ArgumentParser(add_help=False, parents=[replicated, units])
     sampled.add_argument("--n", type=int, default=100, help="sample size per replicate")
 

@@ -14,6 +14,7 @@ fixes it as row-major with the diagonal skipped (scheme tag "rowmajor-v1").
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -282,8 +283,8 @@ def jitter_ties(values, seed, scale: float) -> np.ndarray:
     returned unchanged.  Noise is redrawn until the output is tie-free, so
     relations between values further than `scale` apart are preserved.
     """
-    if not scale > 0:
-        raise DomainError(f"jitter scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"jitter scale must be positive and finite, got {scale}")
     x = _as_ordinal(values).copy()
     codes = _dense_ranks(x) + 1  # 0 marks NaN
     mask = (codes > 0) & (np.bincount(codes)[codes] > 1)

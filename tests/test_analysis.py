@@ -459,3 +459,18 @@ class TestMakeCorrelatedTable:
             np.testing.assert_array_equal(t1[key], t2[key])
         assert all(len(v) == 12 for v in t1.values())
         assert all((t1[k] > 0).all() for k in t1 if k != "y")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: simulate_bivariate(0.5, 10, reps=2, seed=-1),
+        lambda: simulate_multivariate(0.5, "linear", 20, seed=[3, -1]),
+        lambda: simulate_integration(make_correlated_table(16, 4, seed=1), "y", reps=2, seed=-1),
+        lambda: make_correlated_table(seed=-1),
+    ],
+    ids=["bivariate", "multivariate", "integration", "correlated-table"],
+)
+def test_negative_seed_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="^seed must be non-negative, got -1$"):
+        call()

@@ -1,14 +1,24 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from kendalltrans import DomainError, kendall_transform, simulate_multivariate
+from kendalltrans import DomainError, kendall_transform, merge_transformed, simulate_multivariate
 from kendalltrans.cli import main
 from kendalltrans import tableio
+
+
+# body bytes of the robustness test: state letters, both delimiters, blanks,
+# line ends, a quote, a lone non-ASCII byte and a UTF-8 encoded one
+BODY_BYTES = [b"A", b"D", b"T", b"N", b",", b"\t", b" ", b"\r", b"\n", b'"', b"\xe9", b"\xc3\xa9"]
 
 
 def write_csv(path, header, rows):
@@ -98,6 +108,25 @@ class TestTransformCommand:
         assert err == (
             f"error: {src}: column 'x': jitter cannot separate the tied infinite value inf\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["inf", "1e400", "0", "nan"])
+    def test_jitter_scale_must_be_positive_and_finite(self, tmp_path, capsys, scale):
+        src = tmp_path / "tied.csv"
+        write_csv(src, ["x"], [[1.0], [1.0], [2.0]])
+        out = tmp_path / "enc.csv"
+        assert main(["transform", str(src), str(out), "--jitter", f"7:{scale}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: jitter scale must be positive and finite, got {float(scale)}\n"
+        )
+        assert not out.exists()
+
+    def test_jitter_seed_must_be_non_negative(self, tmp_path, capsys):
+        src = tmp_path / "tied.csv"
+        write_csv(src, ["x"], [[1.0], [1.0], [2.0]])
+        out = tmp_path / "enc.csv"
+        assert main(["transform", str(src), str(out), "--jitter=-1:1e-6"]) == 1
+        assert capsys.readouterr().err == "error: --jitter seed must be non-negative, got -1\n"
         assert not out.exists()
 
     def test_indicator_name_clash_rejected(self, tmp_path, capsys):
@@ -386,6 +415,15 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["bivariate", "multivariate", "integration"])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, kind):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", kind, str(out), "--reps", "2", "--seed", "-1"])
+        assert info.value.code == 2
+        assert "argument --seed: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integration_synthetic_default(self, tmp_path, capsys):
         out = tmp_path / "integ.csv"
         assert main([
@@ -499,6 +537,130 @@ class TestFileFormats:
             written = tmp_path / "written.csv"
             tableio.write_transformed(written, system)
             assert written.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize(
+        "layout", ["bare", "tab", "crlf", "blank lines", "bom", "comment", "padded"]
+    )
+    def test_read_transformed_returns_the_written_system(self, tmp_path, monkeypatch, layout):
+        # only a padded body needs the per-cell path; every other layout decodes in bulk
+        if layout != "padded":
+            def per_cell(*args):
+                raise AssertionError("bare-token body took the per-cell path")
+            monkeypatch.setattr(tableio, "_convert_cells", per_cell)
+        rng = np.random.default_rng(19)
+        delimiter = "\t" if layout == "tab" else ","
+        eol = "\r\n" if layout == "crlf" else "\n"
+        pad = " " if layout == "padded" else ""
+        letters = np.array(["A", "D", "T", "NA"])
+        for n in range(2, 13):
+            values = rng.integers(0, 3, (rng.integers(1, 5), n)).astype(float)
+            values[rng.random(values.shape) < 0.2] = np.nan
+            system = {f"c{j}": kendall_transform(x) for j, x in enumerate(values)}
+            rows = [
+                delimiter.join(f"{pad}{cell}{pad}" for cell in row)
+                for row in zip(*(letters[seq.codes] for seq in system.values()))
+            ]
+            if layout == "blank lines":
+                rows = [line for row in rows for line in ("", row)]
+            lines = [f"#kendall n={n} scheme=rowmajor-v1", delimiter.join(system), *rows]
+            if layout == "comment":
+                lines.insert(0, "# exported by hand")
+            text = ("\ufeff" if layout == "bom" else "") + eol.join(lines) + eol
+            path = tmp_path / f"enc{n}.csv"
+            path.write_bytes(text.encode())
+            assert tableio.read_transformed(path) == system
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param(
+                "A,D\nD,N\n", "row 4, column 'y': unknown state 'N' (expected A, D, T or NA)",
+                id="lone-N",
+            ),
+            pytest.param(
+                "A,ND\nD,A\n", "row 3, column 'y': unknown state 'ND' (expected A, D, T or NA)",
+                id="N-then-letter",
+            ),
+            pytest.param(
+                "A,NAA\nD,A\n", "row 3, column 'y': unknown state 'NAA' (expected A, D, T or NA)",
+                id="NAA",
+            ),
+            pytest.param(
+                "A,\nD,A\n", "row 3, column 'y': unknown state '' (expected A, D, T or NA)",
+                id="empty-cell",
+            ),
+            pytest.param(
+                "A,D\na,A\n", "row 4, column 'x': unknown state 'a' (expected A, D, T or NA)",
+                id="lowercase",
+            ),
+            pytest.param(
+                'A,D\n"D",A\n',
+                "row 4, column 'x': unknown state '\"D\"' (expected A, D, T or NA)",
+                id="quoted-cell",
+            ),
+            pytest.param("A,D\nD,A,T\n", "row 4 has 3 fields, expected 2", id="extra-field"),
+            pytest.param("A,D\nD\n", "row 4 has 1 fields, expected 2", id="missing-field"),
+            pytest.param("A\tD\nD,A\n", "row 4 has 1 fields, expected 2", id="comma-in-tab-file"),
+            pytest.param(
+                "A,D\nD,\u00c5\n",
+                "row 4, column 'y': unknown state '\u00c5' (expected A, D, T or NA)",
+                id="non-ascii",
+            ),
+        ],
+    )
+    def test_corrupt_state_body_names_first_bad_cell(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        header = "x\ty" if "\t" in body else "x,y"
+        path.write_text(f"#kendall n=2 scheme=rowmajor-v1\n{header}\n{body}", encoding="utf-8")
+        with pytest.raises(DomainError) as info:
+            tableio.read_transformed(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_read_transformed_peak_memory_per_state(self, tmp_path):
+        rng = np.random.default_rng(23)
+        batches = [rng.normal(size=(4, 100)) for _ in range(2)]
+        merged = {
+            f"c{j}": merge_transformed([kendall_transform(b[j]) for b in batches])
+            for j in range(4)
+        }
+        path = tmp_path / "merged.csv"
+        tableio.write_transformed(path, merged)
+        states = 4 * 200 * 199
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = tableio.read_transformed(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == merged
+        assert (peak - base) / states < 40.0
+
+    # six rows of two cells fit the header; a cell is a state or up to three
+    # body bytes, which can also change the row's width or the row count
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([b"A", b"D", b"T", b"NA"]),
+                    st.lists(st.sampled_from(BODY_BYTES), max_size=3).map(b"".join),
+                ),
+                min_size=2, max_size=2,
+            ).map(b",".join),
+            min_size=6, max_size=6,
+        ).map(b"\n".join)
+    )
+    def test_inverse_of_any_body_ends_in_a_result_or_an_error_line(self, tmp_path_factory, rows):
+        folder = tmp_path_factory.mktemp("body")
+        src, out = folder / "enc.csv", folder / "ranks.csv"
+        src.write_bytes(b"#kendall n=3 scheme=rowmajor-v1\nx,y\n" + rows)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["inverse", str(src), str(out)])
+        assert code in (0, 1)
+        assert (code == 0) == out.exists()
+        assert err.getvalue().startswith("error: ") if code else err.getvalue() == ""
 
     def test_weights_round_trip_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(9)

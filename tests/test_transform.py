@@ -321,6 +321,12 @@ class TestJitterTies:
         with pytest.raises(DomainError):
             jitter_ties([1, 1], 0, 0.0)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_infinite_scale_rejected(self, scale):
+        message = f"^jitter scale must be positive and finite, got {scale}$"
+        with pytest.raises(DomainError, match=message):
+            jitter_ties([1.0, 1.0, 2.0], 0, scale)
+
 
 class TestCopelandInverse:
     def test_hand_scored_example(self):
