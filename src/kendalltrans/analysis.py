@@ -380,15 +380,25 @@ def split_merge_rankings(
 
     The objects are split in half at random and every feature value in the
     first half is multiplied by `scale`, which must be positive and finite
-    (the decision is left alone).  The "naive" ranking re-encodes the fused
-    perturbed columns; the "merged" ranking encodes each half separately
-    and fuses the encodings, leaving cross-half pairs missing.
+    and keep every scaled value finite (the decision is left alone).  The
+    "naive" ranking re-encodes the fused perturbed columns; the "merged"
+    ranking encodes each half separately and fuses the encodings, leaving
+    cross-half pairs missing.
     """
     if not 0 < scale < math.inf:
         raise DomainError(f"scale must be positive and finite, got {scale}")
     features = _features(table, decision)
     y = np.asarray(table[decision])
     n = len(y)
+    if n < 4:
+        raise DomainError(f"need at least 4 objects to split into two halves of 2, got {n}")
+    for name, v in features.items():
+        top = float(np.abs(v[~np.isnan(v)]).max(initial=0.0))
+        if not math.isfinite(scale * top):
+            raise DomainError(
+                f"feature column {name!r}: scale {scale} times its largest magnitude {top} "
+                "is not finite"
+            )
     perm = rng.permutation(n)
     first, second = perm[: n // 2], perm[n // 2:]
     factor = np.ones(n)

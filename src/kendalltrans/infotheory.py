@@ -9,7 +9,9 @@ estimates exactly.
 
 A "categorical sequence" is anything with a per-position state: a
 KendallSequence, a float array (NaN = missing), an integer or boolean array
-(negative = missing), or a sequence of hashables (None/NaN = missing).
+(-1 = missing), or a sequence of hashables (None/NaN = missing).  Every
+plug-in estimate reads one joint count table of its aligned codes, and its
+entropies are sums over that table.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def _seq_array(seq) -> np.ndarray:
 def _as_codes(seq) -> np.ndarray:
     """Non-negative integer states of a categorical sequence; -1 is missing.
 
-    KendallSequence and integer codes pass through, Kendall codes as int8
-    and negative integers as -1; floats are numbered in sorted order,
+    KendallSequence and integer codes pass through, Kendall codes as int8;
+    an integer below -1 is an error.  Floats are numbered in sorted order,
     strings and other labels in first-seen order whatever their dtype.
     """
     if isinstance(seq, KendallSequence):
@@ -72,7 +74,10 @@ def _as_codes(seq) -> np.ndarray:
     if arr.dtype.kind == "f":
         return _dense_ranks(arr)
     if arr.dtype.kind in "iub":
-        return np.where(arr < 0, -1, arr)
+        low = arr.min(initial=0)
+        if low < -1:
+            raise DomainError(f"integer codes must be non-negative or -1 (missing), got {low}")
+        return arr.view(np.uint8) if arr.dtype.kind == "b" else arr
     return _label_codes(arr)[0]
 
 
@@ -104,13 +109,26 @@ def _radix(code_arrays) -> np.ndarray:
     return joint
 
 
-def _h(*code_arrays: np.ndarray) -> float:
-    """Joint entropy in nats of aligned non-negative codes (0*log 0 := 0)."""
-    joint = _radix(code_arrays)
-    counts = np.bincount(joint)
-    counts = counts[counts > 0]
-    p = counts / joint.size
-    return float(-(p * np.log(p)).sum())
+def _entropies(code_arrays, subsets) -> list[float]:
+    """Plug-in entropies in nats (0*log 0 := 0) of subsets, given as increasing
+    index tuples, of aligned non-negative code arrays.  All are sums over one
+    joint count table, dense when the product of the alphabets fits within
+    the positions; each adds its terms in the lexicographic order of its parts."""
+    size = code_arrays[0].size
+    ks = [int(c.max()) + 1 for c in code_arrays]
+    if math.prod(ks) <= size:
+        table = np.bincount(np.ravel_multi_index(code_arrays, ks), minlength=math.prod(ks))
+        others = [tuple(i for i in range(len(ks)) if i not in s) for s in subsets]
+        marginals = [table.reshape(ks).sum(axis=axes).ravel() for axes in others]
+    else:
+        _, first, counts = np.unique(_radix(code_arrays), return_index=True, return_counts=True)
+        cells = [c[first] for c in code_arrays]
+        marginals = [np.bincount(_radix([cells[i] for i in s]), weights=counts) for s in subsets]
+    out = []
+    for marginal in marginals:
+        p = marginal[marginal > 0] / size
+        out.append(float(-(p * np.log(p)).sum()))
+    return out
 
 
 def _complete(seqs) -> tuple[list[np.ndarray], np.ndarray]:
@@ -146,7 +164,7 @@ def entropy(seq, base: float = math.e) -> float:
     obs = codes[codes >= 0]
     if obs.size == 0:
         raise DomainError("entropy of an all-missing sequence is undefined")
-    h = _h(obs)
+    (h,) = _entropies([obs], [(0,)])
     return h if base == math.e else h / math.log(base)
 
 
@@ -164,17 +182,10 @@ def make_joint(seqs) -> np.ndarray:
     return out
 
 
-def _mi(cx, cy) -> float:
-    return _h(cx) + _h(cy) - _h(cx, cy)
-
-
-def _cmi(cx, cy, cz) -> float:
-    return _h(cx, cz) + _h(cy, cz) - _h(cx, cy, cz) - _h(cz)
-
-
 def mutual_information(x, y) -> float:
     """Plug-in I(x;y) = H(x) + H(y) - H(x,y) over pairwise-complete positions."""
-    return _mi(*_aligned_codes(x, y))
+    hx, hy, hxy = _entropies(_aligned_codes(x, y), [(0,), (1,), (0, 1)])
+    return hx + hy - hxy
 
 
 def conditional_mi(x, y, z) -> float:
@@ -182,7 +193,8 @@ def conditional_mi(x, y, z) -> float:
 
     Estimated over positions where all three sequences are observed.
     """
-    return _cmi(*_aligned_codes(x, y, z))
+    hxz, hyz, hxyz, hz = _entropies(_aligned_codes(x, y, z), [(0, 2), (1, 2), (0, 1, 2), (2,)])
+    return hxz + hyz - hxyz - hz
 
 
 def interaction_information(x, y, z) -> float:
@@ -191,8 +203,9 @@ def interaction_information(x, y, z) -> float:
     All terms are estimated over the jointly complete positions, which keeps
     the quantity symmetric in its three arguments.
     """
-    cx, cy, cz = _aligned_codes(x, y, z)
-    return _mi(cx, cy) - _cmi(cx, cy, cz)
+    subsets = [(0,), (1,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (2,)]
+    hx, hy, hxy, hxz, hyz, hxyz, hz = _entropies(_aligned_codes(x, y, z), subsets)
+    return (hx + hy - hxy) - (hxz + hyz - hxyz - hz)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +220,6 @@ class TauValue:
     concordant: int
     discordant: int
     m: int
-
-
-def _count_pairs_brute(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
-    """Direct O(n^2) ordered-pair counter, the reference for the merge-sort one."""
-    if xs.size < 2:
-        return 0, 0
-    gx, lx = xs[:, None] > xs[None, :], xs[:, None] < xs[None, :]
-    gy, ly = ys[:, None] > ys[None, :], ys[:, None] < ys[None, :]
-    concordant = np.count_nonzero(gx & gy) + np.count_nonzero(lx & ly)
-    discordant = np.count_nonzero(gx & ly) + np.count_nonzero(lx & gy)
-    return int(concordant), int(discordant)
 
 
 def _inversions(a: np.ndarray) -> int:
@@ -331,7 +333,7 @@ def auroc(x, y, positive=None) -> AurocResult:
     yarr = _seq_array(y)
     if xv.size != yarr.size:
         raise DomainError(f"length mismatch: {xv.size} vs {yarr.size}")
-    ycodes = _as_codes(yarr)
+    ycodes = _label_codes(yarr.tolist())[0]
     keep = ~np.isnan(xv) & (ycodes >= 0)
     xs, ys = xv[keep], yarr[keep]
     _, first = np.unique(ycodes[keep], return_index=True)

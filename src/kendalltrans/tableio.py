@@ -7,6 +7,8 @@ the object count and the pair-scheme tag, e.g. ``#kendall n=4 scheme=rowmajor-v1
 and hold one row per ordered pair whose cells are bare tokens, stripped of
 surrounding whitespace: A, D, T and NA for states, numbers for weights. A
 quoted body cell is not unquoted; it is reported at its row and column.
+Every file is read as UTF-8, less a leading byte-order mark; any other
+bytes are an error naming the file and the offset of the first bad byte.
 
 A state body of bare tokens is decoded in bulk, in one numpy pass over its
 bytes. A padded or quoted body, or one with any other fault, takes the
@@ -59,8 +61,15 @@ def _fmt(value) -> str:
 
 def _read_lines(path) -> list[str]:
     """Non-blank lines, less a leading ``#`` comment that is not metadata."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-        lines = list(filter(None, fh.read().splitlines()))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise DomainError(f"{path}: not UTF-8 text ({where})") from None
+    del data  # free the bytes before the lines are built
+    lines = list(filter(None, text.removeprefix("\ufeff").splitlines()))  # a leading BOM is dropped
     if lines and lines[0].startswith("#") and not lines[0].startswith(META_PREFIX):
         del lines[0]
     if not lines:

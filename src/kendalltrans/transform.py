@@ -285,6 +285,9 @@ def jitter_ties(values, seed, scale: float) -> np.ndarray:
     """
     if not 0 < scale < math.inf:
         raise DomainError(f"jitter scale must be positive and finite, got {scale}")
+    low = np.min(seed)  # the CLI passes [seed, column]
+    if low < 0:
+        raise DomainError(f"seed must be non-negative, got {low}")
     x = _as_ordinal(values).copy()
     codes = _dense_ranks(x) + 1  # 0 marks NaN
     mask = (codes > 0) & (np.bincount(codes)[codes] > 1)

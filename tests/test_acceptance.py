@@ -32,7 +32,7 @@ from kendalltrans import (
     transform_system,
 )
 from kendalltrans.analysis import _rng
-from kendalltrans.infotheory import _count_pairs_brute
+from oracle import _count_pairs_brute
 
 A, D = Symbol.ASC, Symbol.DESC
 

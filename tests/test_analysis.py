@@ -1,6 +1,7 @@
 """Tests for binning, ranking, agreement metrics and the simulation harnesses."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -442,6 +443,25 @@ class TestSimulateIntegration:
         table = make_correlated_table(16, 6, seed=2)
         with pytest.raises(DomainError, match="decision column 'z' not in table"):
             split_merge_rankings(table, "z", 2.0, _rng(0))
+
+    @pytest.mark.parametrize("big", [1e308, -1e308, math.inf])
+    def test_overflowing_feature_is_rejected_before_scaling(self, big):
+        table = make_correlated_table(16, 6, seed=2)
+        table["f03"][5] = big
+        message = re.escape(
+            f"feature column 'f03': scale 3.0 times its largest magnitude {abs(big)} is not finite"
+        )
+        with pytest.raises(DomainError, match=message):
+            split_merge_rankings(table, "y", 3.0, _rng(0))
+        if math.isfinite(big):  # under scale 1 the same value stays finite
+            split_merge_rankings(table, "y", 1.0, _rng(0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_too_few_objects_to_split(self, n):
+        table = {"f": np.arange(n, dtype=float), "y": np.arange(n, dtype=float)}
+        message = f"^need at least 4 objects to split into two halves of 2, got {n}$"
+        with pytest.raises(DomainError, match=message):
+            split_merge_rankings(table, "y", 2.0, _rng(0))
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_scale_must_be_positive_and_finite(self, scale):

@@ -424,6 +424,30 @@ class TestSimulateCommand:
         assert "argument --seed: seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integration_rejects_a_feature_that_scaling_overflows(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        write_csv(src, ["f", "g", "y"], [[1e308, 1, 1], [2, 3, 2], [3, 4, 3], [4, 1, 4], [5, 2, 5]])
+        out = tmp_path / "integ.csv"
+        argv = ["simulate", "integration", str(out), "--input", str(src), "--decision", "y"]
+        assert main(argv + ["--reps", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: feature column 'f': scale 3.0 times its largest magnitude 1e+308 "
+            "is not finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_integration_names_the_split_of_a_short_table(self, tmp_path, capsys, rows):
+        src = tmp_path / "short.csv"
+        write_csv(src, ["f", "y"], [[k, k] for k in range(rows)])
+        out = tmp_path / "integ.csv"
+        argv = ["simulate", "integration", str(out), "--input", str(src), "--decision", "y"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: need at least 4 objects to split into two halves of 2, got {rows}\n"
+        )
+        assert not out.exists()
+
     def test_integration_synthetic_default(self, tmp_path, capsys):
         out = tmp_path / "integ.csv"
         assert main([
@@ -469,6 +493,28 @@ class TestFileFormats:
         enc = tmp_path / "enc.csv"
         assert main(["transform", str(src), str(enc)]) == 0
         assert enc.read_bytes().splitlines()[1] == b"y,a"
+
+    @pytest.mark.parametrize("command", ["score", "inverse"])
+    def test_latin1_input_names_the_file_and_the_byte(self, tmp_path, capsys, command):
+        src = tmp_path / "latin1.csv"
+        if command == "score":
+            src.write_bytes("y,café\n1,2\n2,1\n".encode("latin-1"))
+            argv = ["score", str(src), "--decision", "y"]
+            offset = 5
+        else:
+            src.write_bytes("#kendall n=2 scheme=rowmajor-v1\nx\nA\nD\xe9\n".encode("latin-1"))
+            argv = ["inverse", str(src), str(tmp_path / "ranks.csv")]
+            offset = 37
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {src}: not UTF-8 text (byte 0xe9 at offset {offset})\n"
+        )
+
+    def test_offset_of_a_bad_byte_counts_the_byte_order_mark(self, tmp_path, capsys):
+        src = tmp_path / "bom.csv"
+        src.write_bytes(b"\xef\xbb\xbfy,a\xff\n1,2\n")
+        assert main(["score", str(src), "--decision", "y"]) == 1
+        assert capsys.readouterr().err == f"error: {src}: not UTF-8 text (byte 0xff at offset 6)\n"
 
     def test_leading_comment_line_is_not_the_header(self, tmp_path):
         src = tmp_path / "commented.csv"

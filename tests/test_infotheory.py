@@ -11,22 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
+import oracle
 from kendalltrans import (
     DomainError,
     Symbol,
     auroc,
+    bin_equal_width,
     conditional_mi,
     entropy,
     interaction_information,
     kendall_tau,
     kendall_transform,
     make_joint,
+    merge_transformed,
     mi_from_auroc,
     mi_from_rho,
     mi_from_tau,
     mutual_information,
 )
-from kendalltrans.infotheory import _count_pairs_brute
+from kendalltrans.analysis import _decision_sequence
+from kendalltrans.infotheory import _aligned_codes
+from oracle import _count_pairs_brute
 
 A, D, T, M = Symbol.ASC, Symbol.DESC, Symbol.TIE, Symbol.MISSING
 
@@ -283,6 +288,117 @@ class TestInteractionInformation:
             assert abs(xyz - xzy) < 1e-12
 
 
+# values of one object: ties, NaN, infinities and distinct finite values
+VALUES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0, 2.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+def draw_values(draw, n):
+    return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+
+
+def draw_merged(draw, n):
+    if n < 4:
+        return kendall_transform(draw_values(draw, n))
+    cut = draw(st.integers(2, n - 2))
+    return merge_transformed(
+        [kendall_transform(draw_values(draw, cut)), kendall_transform(draw_values(draw, n - cut))]
+    )
+
+
+def draw_decision_codes(draw, n):
+    labels = draw(st.lists(st.sampled_from("abcdef") | st.none(), min_size=n, max_size=n))
+    return _decision_sequence(np.array(["a", "b"] + labels[2:], dtype=object))
+
+
+def draw_integers(draw, size):
+    high = draw(st.integers(0, 3 * size))  # small and large alphabets
+    return np.array(draw(st.lists(st.integers(-1, high), min_size=size, max_size=size)))
+
+
+# sequences over the m = n*(n-1) pairs, and sequences over the n objects
+PAIR_KINDS = [
+    lambda draw, n: kendall_transform(draw_values(draw, n)),
+    draw_merged,
+    draw_decision_codes,
+    lambda draw, n: draw_integers(draw, n * (n - 1)),
+]
+OBJECT_KINDS = [
+    draw_values,
+    lambda draw, n: draw_integers(draw, n),
+    lambda draw, n: draw(st.lists(st.sampled_from(["a", ("t", 1), None]), min_size=n, max_size=n)),
+    lambda draw, n: bin_equal_width(draw_values(draw, n), draw(st.integers(2, 5))),
+]
+
+
+@st.composite
+def aligned_sequences(draw):
+    n = draw(st.integers(2, 12))
+    kinds = draw(st.sampled_from([PAIR_KINDS, OBJECT_KINDS]))
+    return [draw(st.sampled_from(kinds))(draw, n) for _ in range(3)]
+
+
+class TestOneCountTable:
+    """Every estimate reads one joint count table, and still sums its terms
+    in the order of the per-entropy oracle, so the values agree to the bit."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(aligned_sequences())
+    def test_estimators_equal_the_per_entropy_oracle_exactly(self, seqs):
+        x, y, z = seqs
+        cases = [
+            (entropy, [x], oracle.plug_in_entropy),
+            (mutual_information, [x, y], oracle.plug_in_mi),
+            (conditional_mi, [x, y, z], oracle.plug_in_cmi),
+            (interaction_information, [x, y, z], oracle.plug_in_interaction),
+        ]
+        for estimate, args, want in cases:
+            try:
+                codes = _aligned_codes(*args)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    estimate(*args)
+                continue
+            assert estimate(*args).hex() == want(*codes).hex()
+
+    def test_peak_bytes_per_pair(self):
+        n = 2000
+        rng = np.random.default_rng(33)
+        x, y, z = (kendall_transform(rng.permutation(n).astype(float)) for _ in range(3))
+        for estimate, args, bound in (
+            (mutual_information, (x, y), 10.5),
+            (conditional_mi, (x, y, z), 12.0),
+        ):
+            tracemalloc.start()
+            try:
+                estimate(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / (n * (n - 1)) <= bound, estimate.__name__
+
+
+class TestIntegerCodes:
+    def test_minus_one_is_missing(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert mutual_information(x, np.array([-1, 1, 1, -1])) == 0.0
+        assert entropy(np.array([-1, 0, 1])) == LOG2
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_below_minus_one_is_an_error_naming_the_value(self, dtype):
+        codes = np.array([-2, 1, 1, -2], dtype=dtype)
+        message = r"^integer codes must be non-negative or -1 \(missing\), got -2$"
+        for call in (
+            lambda: mutual_information([1.0, 2.0, 3.0, 4.0], codes),
+            lambda: entropy(codes),
+            lambda: make_joint([codes, codes]),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+
 def mutual_information_on_complete(x, y, z):
     """I(x;z) - I(x;z|y) restricted to triple-complete positions."""
     keep = ~(np.isnan(x) | np.isnan(y) | np.isnan(z))
@@ -463,6 +579,14 @@ class TestAuroc:
         with pytest.raises(DomainError, match="no order"):
             auroc([1, 2, 3, 4], ["a", 1, "a", 1])
         assert auroc([1, 2, 3, 4], ["a", 1, "a", 1], positive=1) == (0.75, 2, 2, 1.0)
+
+    def test_labels_are_coded_by_value_whatever_the_container(self):
+        for y in ([-1, 1, 1, -1], np.array([-1, 1, 1, -1]), np.array([-1, 1, 1, -1], np.int8)):
+            assert auroc([1, 2, 3, 4], y) == (0.5, 2, 2, 2.0)
+        for y in ([0.0, np.nan, 1.0, 0.0], np.array([0.0, np.nan, 1.0, 0.0], np.float32)):
+            assert auroc([1, 2, 3, 4], y) == (0.5, 1, 2, 1.0)
+        flags = [True, False, True, False]
+        assert auroc([1, 2, 3, 4], np.array(flags)) == auroc([1, 2, 3, 4], flags)
 
     def test_u_is_brute_force_pair_count(self):
         rng = np.random.default_rng(14)

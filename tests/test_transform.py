@@ -321,6 +321,11 @@ class TestJitterTies:
         with pytest.raises(DomainError):
             jitter_ties([1, 1], 0, 0.0)
 
+    @pytest.mark.parametrize("seed, low", [(-1, -1), ([3, -2], -2), ((-4, 0), -4)])
+    def test_negative_seed_rejected(self, seed, low):
+        with pytest.raises(DomainError, match=f"^seed must be non-negative, got {low}$"):
+            jitter_ties([1.0, 1.0, 2.0], seed, 0.5)
+
     @pytest.mark.parametrize("scale", [math.inf, math.nan])
     def test_infinite_scale_rejected(self, scale):
         message = f"^jitter scale must be positive and finite, got {scale}$"
